@@ -42,7 +42,6 @@ from .grassmann import (
     thom_porteous,
 )
 from .halving import (
-    DegeneracyProblem,
     HalvingClass,
     HalvingSpaceDescriptor,
     SchubertProblem,
@@ -52,6 +51,7 @@ from .halving import (
     real_degeneracy_lower_bound,
     real_double_multiply,
     real_lower_bound,
+    solve,
 )
 from .schur import (
     SchurExpansion,
@@ -95,7 +95,6 @@ __all__ = [
     "poincare_dual",
     "tautological_chern_difference",
     "thom_porteous",
-    "DegeneracyProblem",
     "HalvingClass",
     "HalvingSpaceDescriptor",
     "SchubertProblem",
@@ -105,6 +104,7 @@ __all__ = [
     "real_degeneracy_lower_bound",
     "real_double_multiply",
     "real_lower_bound",
+    "solve",
     "SchurExpansion",
     "expand_basis_product",
     "jacobi_trudi",

@@ -9,7 +9,6 @@ import argparse
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from .errors import (
@@ -18,29 +17,22 @@ from .errors import (
     NotADoubleIndex,
     SpaceMismatch,
 )
-from .flag import FlagClass, FlagDescriptor, flag_integrate
+from .flag import FlagClass, FlagDescriptor
 from .grassmann import (
     GrassmannClass,
     GrassmannianDescriptor,
     degeneracy_count,
     giambelli,
-    gr_integrate,
     tautological_chern_difference,
     thom_porteous,
 )
 from .halving import (
-    OCTONIONIC,
-    QUATERNIONIC,
     REAL_EVEN,
     HalvingClass,
     HalvingSpaceDescriptor,
-    SchubertProblem,
     kappa,
-    real_degeneracy_lower_bound,
-    real_lower_bound,
-    quaternionic_count,
+    solve,
 )
-from .indexing import osp_length, partition_size, perm_length
 from .schur import lr_coefficient
 from .selftest import run_selftest
 from .serialize import (
@@ -124,88 +116,17 @@ def class_from_json(space, raw):
     return total
 
 
-def _index_degree(index):
-    if index and isinstance(index[0], tuple):
-        return osp_length(index)
-    return perm_length(index)
-
-
-def _condition_product(space, conditions):
-    """Product of basis classes with multiplicities, plus its total degree."""
-    if isinstance(space, GrassmannianDescriptor):
-        acc = GrassmannClass.unit(space)
-        degree = partition_size
+def _solve_report(parsed):
+    """Solve one parsed problem and build its report."""
+    try:
+        value, provenance = solve(parsed)
+    except (BoxOverflow, ValueError) as exc:
+        raise ProblemSchemaError(str(exc)) from None
+    if isinstance(value, int):
+        result = result_to_json(value)
     else:
-        acc = FlagClass.unit(space)
-        degree = _index_degree
-    total = 0
-    for index, count in conditions:
-        base = _basis(space, index)
-        total += count * degree(index)
-        for _ in range(count):
-            acc = acc * base
-    return acc, total
-
-
-def solve_problem(parsed):
-    """Evaluate one parsed problem; returns (json result, provenance)."""
-    space = parsed.space
-    if isinstance(space, HalvingSpaceDescriptor):
-        if parsed.degeneracy is not None:
-            corank, count = parsed.degeneracy
-            value = real_degeneracy_lower_bound(space, count, corank=corank)
-            return result_to_json(value), (
-                "halved each rank-drop condition and evaluated the "
-                "determinantal locus class on the fixed-point Grassmannian; "
-                "the complex count certifies the real lower bound"
-            )
-        try:
-            problem = SchubertProblem(space, parsed.conditions)
-        except (BoxOverflow, ValueError) as exc:
-            raise ProblemSchemaError(str(exc)) from None
-        if space.kind == REAL_EVEN:
-            value = real_lower_bound(problem)
-            prov = (
-                "halved the doubled conditions to a complex problem on the "
-                "fixed-point space; its intersection number certifies the "
-                "real lower bound"
-            )
-        elif space.kind == QUATERNIONIC:
-            value = quaternionic_count(problem)
-            prov = (
-                "the halving map matches the quaternionic problem with the "
-                "complex problem on the fixed-point space, solution for "
-                "solution"
-            )
-        else:
-            carrier = HalvingSpaceDescriptor.quaternionic_flag((1, 1, 1))
-            value = quaternionic_count(SchubertProblem(carrier, parsed.conditions))
-            prov = (
-                "transported the conditions to the quaternionic three-step "
-                "flag carrier and counted there via the complex fixed-point "
-                "space"
-            )
-        return result_to_json(value), prov
-
-    product, total = _condition_product(space, parsed.conditions)
-    if parsed.mode == "class":
-        return class_to_json(product), (
-            "expanded the condition product in the Schubert basis of the "
-            "ambient space"
-        )
-    dim = space.complex_dimension
-    if total != dim:
-        raise DimensionMismatch(
-            f"conditions fill degree {total}, but {space} has dimension {dim}"
-        )
-    if isinstance(space, GrassmannianDescriptor):
-        value = gr_integrate(product)
-    else:
-        value = flag_integrate(product)
-    return result_to_json(value), (
-        "expanded the condition product in the Schubert basis and read off "
-        "the coefficient of the point class"
-    )
+        result = class_to_json(value)
+    return _report(parsed.raw, result, provenance)
 
 
 def _report(echo, result, provenance):
@@ -276,28 +197,14 @@ def cmd_solve(args):
         except ProblemSchemaError as exc:
             raise ProblemSchemaError(f"problem {i}: {exc}" if batch else str(exc)) from None
 
-    def run(p):
-        result, provenance = solve_problem(p)
-        return _report(p.raw, result, provenance)
-
-    if args.jobs > 1 and len(parsed) > 1:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            futures = [pool.submit(run, p) for p in parsed]
-            reports = []
-            for i, future in enumerate(futures, start=1):
-                try:
-                    reports.append(future.result())
-                except (DimensionMismatch, NotADoubleIndex, ProblemSchemaError) as exc:
-                    for later in futures[i:]:
-                        later.cancel()
-                    raise type(exc)(f"problem {i}: {exc}" if batch else str(exc)) from None
-    else:
-        reports = []
-        for i, p in enumerate(parsed, start=1):
-            try:
-                reports.append(run(p))
-            except (DimensionMismatch, NotADoubleIndex, ProblemSchemaError) as exc:
-                raise type(exc)(f"problem {i}: {exc}" if batch else str(exc)) from None
+    # --jobs is accepted but problems run one at a time: the kernels are pure
+    # Python, so threads gave no speed-up under the interpreter lock.
+    reports = []
+    for i, p in enumerate(parsed, start=1):
+        try:
+            reports.append(_solve_report(p))
+        except (DimensionMismatch, NotADoubleIndex, ProblemSchemaError) as exc:
+            raise type(exc)(f"problem {i}: {exc}" if batch else str(exc)) from None
 
     _emit(reports, args.format, batch)
     return EXIT_OK
@@ -362,9 +269,9 @@ def cmd_porteous(args):
         raise ProblemSchemaError("rank-drop counts need a complex Grassmannian")
     e, f, rho, m = args.e, args.f, args.rho, args.maps
     try:
+        value = degeneracy_count(space, e, f, rho, m)
         series = tautological_chern_difference(space, max(0, e + f - 2 * rho - 1))
         locus = thom_porteous(e, f, rho, series)
-        value = degeneracy_count(space, e, f, rho, m)
     except ValueError as exc:
         raise ProblemSchemaError(str(exc)) from None
     report = {
@@ -422,7 +329,9 @@ def build_parser():
         default=None,
         help="override the mode of every problem in the file",
     )
-    p.add_argument("--jobs", type=int, default=1, help="worker threads for batch files")
+    p.add_argument(
+        "--jobs", type=int, default=1, help="accepted; problems run one at a time"
+    )
     _add_format(p)
     p.set_defaults(fn=cmd_solve)
 

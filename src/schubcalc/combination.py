@@ -1,0 +1,120 @@
+"""The immutable sparse linear combination shared by every class type.
+
+A class is a dict `terms` from canonical basis keys to nonzero
+coefficients, on a fixed `space`. Subclasses say what a key is and how
+two classes multiply; everything linear lives here once:
+
+- `_key(space, key)` validates one key and returns its canonical form;
+- `_rank(key)` is the degree that orders terms for output;
+- `_unit_key(space)` is the key of the unit class;
+- `_scalars` are the coefficient types `*` scales by, `_zero` their zero;
+- `_symbol` names a basis class in `repr`;
+- `_product(other)` multiplies through the ring's module-level kernel.
+
+The public constructor validates every key. Results of arithmetic and of
+the product kernels are built with `_make`, which trusts its keys because
+they come out of canonical keys already.
+"""
+
+from .errors import SpaceMismatch
+
+
+class SparseCombination:
+    """Immutable finite combination of basis classes on one space."""
+
+    __slots__ = ("space", "terms")
+    _scalars = (int,)
+    _zero = 0
+    _symbol = "s"
+
+    def __init__(self, space, terms):
+        clean = {}
+        for key, c in terms.items():
+            key = self._key(space, key)
+            clean[key] = clean.get(key, self._zero) + c
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "terms", {k: c for k, c in clean.items() if c})
+
+    @classmethod
+    def _make(cls, space, terms):
+        """Build from canonical keys without validating them; zeros dropped."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "space", space)
+        object.__setattr__(self, "terms", {k: c for k, c in terms.items() if c})
+        return self
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    @classmethod
+    def zero(cls, space=None):
+        return cls._make(space, {})
+
+    @classmethod
+    def unit(cls, space=None):
+        return cls._make(space, {cls._unit_key(space): cls._zero + 1})
+
+    @classmethod
+    def basis(cls, space, key):
+        return cls(space, {key: 1})
+
+    def coefficient(self, key):
+        return self.terms.get(self._key(self.space, key), self._zero)
+
+    def is_zero(self):
+        return not self.terms
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def sorted_terms(self):
+        rank = self._rank
+        return sorted(self.terms.items(), key=lambda t: (rank(t[0]), t[0]))
+
+    def _check_space(self, other):
+        if self.space != other.space:
+            raise SpaceMismatch(f"{self.space} vs {other.space}")
+
+    def __add__(self, other):
+        self._check_space(other)
+        terms = dict(self.terms)
+        for key, c in other.terms.items():
+            terms[key] = terms.get(key, 0) + c
+        return self._make(self.space, terms)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __neg__(self):
+        return self._make(self.space, {k: -c for k, c in self.terms.items()})
+
+    def __mul__(self, other):
+        if isinstance(other, self._scalars):
+            return self._make(self.space, {k: c * other for k, c in self.terms.items()})
+        return self._product(other)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, m):
+        if m < 0:
+            raise ValueError("negative power")
+        out = self.unit(self.space)
+        for _ in range(m):
+            out = out._product(self)
+        return out
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.space == other.space and self.terms == other.terms
+
+    def __hash__(self):
+        return hash((self.space, frozenset(self.terms.items())))
+
+    def __repr__(self):
+        bits = []
+        for key, c in self.sorted_terms():
+            name = f"{self._symbol}{list(key)}"
+            bits.append(name if c == 1 else f"{c}*{name}")
+        text = " + ".join(bits) or "0"
+        return text if self.space is None else f"<{text} on {self.space}>"

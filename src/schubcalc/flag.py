@@ -13,7 +13,8 @@ coefficient one, so a convention slip raises instead of corrupting output.
 
 from dataclasses import dataclass
 
-from .errors import SpaceMismatch, SupportOutsideStaircase
+from .combination import SparseCombination
+from .errors import SupportOutsideStaircase
 from .indexing import (
     identity_perm,
     is_minimal_rep,
@@ -200,39 +201,33 @@ class FlagDescriptor:
         return f"Fl{self.dims}(C^{self.n})"
 
 
-class FlagClass:
+class FlagClass(SparseCombination):
     """Sparse integer combination of Schubert classes on a partial flag manifold.
 
     Keys are minimal coset representative permutations, stored padded to n.
     """
 
-    __slots__ = ("space", "terms")
+    __slots__ = ()
+    _rank = staticmethod(perm_length)
+    _symbol = "S"
 
-    def __init__(self, space, terms):
-        clean = {}
-        for w, c in terms.items():
-            w = perm_pad(normalize_perm(w), space.n)
-            if len(w) != space.n:
-                raise ValueError(f"{w} is not a permutation of 1..{space.n}")
-            if not is_minimal_rep(w, space.dims):
-                raise ValueError(
-                    f"{w} is not a minimal coset representative for {space.dims}"
-                )
-            if c:
-                clean[w] = clean.get(w, 0) + c
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "terms", {w: c for w, c in clean.items() if c})
+    @staticmethod
+    def _key(space, w):
+        w = perm_pad(normalize_perm(w), space.n)
+        if len(w) != space.n:
+            raise ValueError(f"{w} is not a permutation of 1..{space.n}")
+        if not is_minimal_rep(w, space.dims):
+            raise ValueError(
+                f"{w} is not a minimal coset representative for {space.dims}"
+            )
+        return w
 
-    def __setattr__(self, name, value):
-        raise AttributeError("FlagClass is immutable")
+    @staticmethod
+    def _unit_key(space):
+        return identity_perm(space.n)
 
-    @classmethod
-    def zero(cls, space):
-        return cls(space, {})
-
-    @classmethod
-    def unit(cls, space):
-        return cls(space, {identity_perm(space.n): 1})
+    def _product(self, other):
+        return flag_multiply(self, other)
 
     @classmethod
     def from_permutation(cls, space, w):
@@ -252,68 +247,8 @@ class FlagClass:
             return cls.from_osp(space, index)
         return cls.from_permutation(space, index)
 
-    def coefficient(self, w):
-        return self.terms.get(perm_pad(normalize_perm(w), self.space.n), 0)
-
     def osp_terms(self):
         return {osp_from_perm(w, self.space.dims): c for w, c in self.terms.items()}
-
-    def is_zero(self):
-        return not self.terms
-
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda t: (perm_length(t[0]), t[0]))
-
-    def _check_space(self, other):
-        if self.space != other.space:
-            raise SpaceMismatch(f"{self.space} vs {other.space}")
-
-    def __add__(self, other):
-        self._check_space(other)
-        terms = dict(self.terms)
-        for w, c in other.terms.items():
-            terms[w] = terms.get(w, 0) + c
-        return FlagClass(self.space, terms)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return FlagClass(self.space, {w: -c for w, c in self.terms.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return FlagClass(self.space, {w: c * other for w, c in self.terms.items()})
-        return flag_multiply(self, other)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, m):
-        if m < 0:
-            raise ValueError("negative power")
-        out = FlagClass.unit(self.space)
-        for _ in range(m):
-            out = flag_multiply(out, self)
-        return out
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FlagClass)
-            and self.space == other.space
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.space, frozenset(self.terms.items())))
-
-    def __repr__(self):
-        if not self.terms:
-            return f"<0 on {self.space}>"
-        bits = []
-        for w, c in self.sorted_terms():
-            name = "S" + repr(list(w))
-            bits.append(name if c == 1 else f"{c}*{name}")
-        return f"<{' + '.join(bits)} on {self.space}>"
 
 
 def flag_multiply(a, b):
@@ -341,7 +276,7 @@ def flag_multiply(a, b):
                 ws = perm_pad(ws, n)
                 assert is_minimal_rep(ws, space.dims), (u, v, ws)
                 out[ws] = out.get(ws, 0) + cu * cv * c
-    return FlagClass(space, out)
+    return FlagClass._make(space, out)
 
 
 def flag_integrate(a):
@@ -374,4 +309,4 @@ def monk_multiply(r, a):
                     continue
                 nw = perm_swap_positions(w, i, j)
                 out[nw] = out.get(nw, 0) + c
-    return FlagClass(space, out)
+    return FlagClass._make(space, out)

@@ -8,12 +8,12 @@ the coefficient of the full-box (point) class.
 
 from dataclasses import dataclass
 
+from .combination import SparseCombination
 from .errors import (
     BoxOverflow,
     DegreeOutOfRange,
     DimensionMismatch,
     MissingChernDegree,
-    SpaceMismatch,
 )
 from .indexing import fits_in_box, normalize_partition, partition_size
 from .schur import expand_basis_product, ring_determinant
@@ -46,106 +46,31 @@ class GrassmannianDescriptor:
         return f"Gr({self.k}, C^{self.n})"
 
 
-class GrassmannClass:
+class GrassmannClass(SparseCombination):
     """Sparse integer combination of Schubert classes on a fixed Grassmannian."""
 
-    __slots__ = ("space", "terms")
+    __slots__ = ()
+    _rank = staticmethod(partition_size)
 
-    def __init__(self, space, terms):
-        clean = {}
-        for lam, c in terms.items():
-            lam = normalize_partition(lam)
-            if not fits_in_box(lam, space.k, space.l):
-                raise BoxOverflow(
-                    f"partition {lam} does not fit in the {space.k}x{space.l} box"
-                )
-            if c:
-                clean[lam] = clean.get(lam, 0) + c
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "terms", {l: c for l, c in clean.items() if c})
+    @staticmethod
+    def _key(space, lam):
+        lam = normalize_partition(lam)
+        if not fits_in_box(lam, space.k, space.l):
+            raise BoxOverflow(
+                f"partition {lam} does not fit in the {space.k}x{space.l} box"
+            )
+        return lam
 
-    def __setattr__(self, name, value):
-        raise AttributeError("GrassmannClass is immutable")
+    @staticmethod
+    def _unit_key(space):
+        return ()
 
-    @classmethod
-    def zero(cls, space):
-        return cls(space, {})
-
-    @classmethod
-    def unit(cls, space):
-        return cls(space, {(): 1})
-
-    @classmethod
-    def basis(cls, space, lam):
-        return cls(space, {normalize_partition(lam): 1})
-
-    def coefficient(self, lam):
-        return self.terms.get(normalize_partition(lam), 0)
-
-    def is_zero(self):
-        return not self.terms
+    def _product(self, other):
+        return gr_multiply(self, other)
 
     def is_homogeneous(self):
         sizes = {partition_size(l) for l in self.terms}
         return len(sizes) <= 1
-
-    def sorted_terms(self):
-        return sorted(
-            self.terms.items(), key=lambda t: (partition_size(t[0]), t[0])
-        )
-
-    def _check_space(self, other):
-        if self.space != other.space:
-            raise SpaceMismatch(f"{self.space} vs {other.space}")
-
-    def __add__(self, other):
-        self._check_space(other)
-        terms = dict(self.terms)
-        for lam, c in other.terms.items():
-            terms[lam] = terms.get(lam, 0) + c
-        return GrassmannClass(self.space, terms)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return GrassmannClass(self.space, {l: -c for l, c in self.terms.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return GrassmannClass(
-                self.space, {l: c * other for l, c in self.terms.items()}
-            )
-        return gr_multiply(self, other)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, m):
-        if m < 0:
-            raise ValueError("negative power")
-        out = GrassmannClass.unit(self.space)
-        for _ in range(m):
-            out = gr_multiply(out, self)
-        return out
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, GrassmannClass)
-            and self.space == other.space
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.space, frozenset(self.terms.items())))
-
-    def __repr__(self):
-        if not self.terms:
-            return f"<0 on {self.space}>"
-        bits = []
-        for lam, c in self.sorted_terms():
-            name = "s" + repr(list(lam))
-            bits.append(name if c == 1 else f"{c}*{name}")
-        return f"<{' + '.join(bits)} on {self.space}>"
 
 
 def gr_multiply(a, b):
@@ -158,7 +83,7 @@ def gr_multiply(a, b):
             c = ca * cb
             for nu, m in expand_basis_product(lam, mu, rows=space.k, cols=space.l):
                 out[nu] = out.get(nu, 0) + c * m
-    return GrassmannClass(space, out)
+    return GrassmannClass._make(space, out)
 
 
 def gr_integrate(a):
@@ -303,6 +228,8 @@ def degeneracy_count(space, e, f, rho, m):
     """
     if rho < 0 or rho > min(e, f):
         raise ValueError(f"need 0 <= rho <= min(e, f), got rho={rho}")
+    if m < 0:
+        raise ValueError(f"need a nonnegative number of maps, got {m}")
     codim = (e - rho) * (f - rho)
     if codim == 0:
         return gr_integrate(GrassmannClass.unit(space))

@@ -24,11 +24,11 @@ Littlewood-Richardson numbers, the signed count is already nonnegative.
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .combination import SparseCombination
 from .errors import (
     DimensionMismatch,
     NotADouble,
     NotADoubleIndex,
-    SpaceMismatch,
 )
 from .flag import FlagClass, FlagDescriptor, flag_integrate, flag_multiply
 from .grassmann import (
@@ -51,6 +51,7 @@ from .indexing import (
     partition_halve,
     partition_size,
     perm_from_osp,
+    perm_length,
     perm_pad,
 )
 
@@ -174,106 +175,52 @@ def _complex_degree(space, halved):
     if space.grassmannian_fixed_point:
         return partition_size(halved)
     if space.kind == OCTONIONIC:
-        from .indexing import perm_length
-
         return perm_length(halved)
     return osp_length(halved)
 
 
+def _complex_ring(fp):
+    """Class type and integral of a complex Grassmannian or flag manifold."""
+    if isinstance(fp, GrassmannianDescriptor):
+        return GrassmannClass, gr_integrate
+    return FlagClass, flag_integrate
+
+
 def _complex_basis(space, halved):
     fp = space.fixed_point
-    if space.grassmannian_fixed_point:
-        return GrassmannClass.basis(fp, halved)
-    if space.kind == OCTONIONIC:
-        return FlagClass.from_permutation(fp, halved)
-    return FlagClass.from_osp(fp, halved)
+    return _complex_ring(fp)[0].basis(fp, halved)
 
 
-class HalvingClass:
+class HalvingClass(SparseCombination):
     """Rational combination of Schubert classes on a halving space."""
 
-    __slots__ = ("space", "terms")
+    __slots__ = ()
+    _scalars = (int, Fraction)
+    _zero = Fraction(0)
+    _symbol = "sigma"
+    _key = staticmethod(_normalize_index)
 
-    def __init__(self, space, terms):
-        clean = {}
-        for index, c in terms.items():
-            index = _normalize_index(space, index)
-            c = Fraction(c)
-            if c:
-                clean[index] = clean.get(index, Fraction(0)) + c
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "terms", {i: c for i, c in clean.items() if c})
+    def _rank(self, index):
+        if self.space.grassmannian_fixed_point:
+            return partition_size(index)
+        if self.space.kind == OCTONIONIC:
+            return perm_length(index)
+        return osp_length(index)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("HalvingClass is immutable")
-
-    @classmethod
-    def zero(cls, space):
-        return cls(space, {})
-
-    @classmethod
-    def unit(cls, space):
+    @staticmethod
+    def _unit_key(space):
         if space.kind == OCTONIONIC:
-            return cls(space, {(1, 2, 3): 1})
+            return (1, 2, 3)
         if space.grassmannian_fixed_point:
-            return cls(space, {(): 1})
+            return ()
         blocks, start = [], 1
         for d in _index_dims(space):
             blocks.append(tuple(range(start, start + d)))
             start += d
-        return cls(space, {tuple(blocks): 1})
+        return tuple(blocks)
 
-    @classmethod
-    def basis(cls, space, index):
-        return cls(space, {index: 1})
-
-    def coefficient(self, index):
-        return self.terms.get(_normalize_index(self.space, index), Fraction(0))
-
-    def is_zero(self):
-        return not self.terms
-
-    def _check_space(self, other):
-        if self.space != other.space:
-            raise SpaceMismatch(f"{self.space} vs {other.space}")
-
-    def __add__(self, other):
-        self._check_space(other)
-        terms = dict(self.terms)
-        for i, c in other.terms.items():
-            terms[i] = terms.get(i, Fraction(0)) + c
-        return HalvingClass(self.space, terms)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return HalvingClass(self.space, {i: -c for i, c in self.terms.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return HalvingClass(
-                self.space, {i: c * other for i, c in self.terms.items()}
-            )
+    def _product(self, other):
         return real_double_multiply(self, other)
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, HalvingClass)
-            and self.space == other.space
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.space, frozenset(self.terms.items())))
-
-    def __repr__(self):
-        if not self.terms:
-            return f"<0 on {self.space}>"
-        bits = [f"{c}*sigma{list(i)}" for i, c in sorted(self.terms.items())]
-        return f"<{' + '.join(bits)} on {self.space}>"
 
 
 def _to_integer_class(acc_terms, make):
@@ -360,7 +307,7 @@ def real_double_multiply(a, b):
                     else osp_double(k_half)
                 )
                 acc[dk] = acc.get(dk, Fraction(0)) + ca * cb * m
-    return HalvingClass(space, acc)
+    return HalvingClass._make(space, acc)
 
 
 @dataclass(frozen=True)
@@ -380,35 +327,40 @@ class SchubertProblem:
         object.__setattr__(self, "conditions", tuple(fixed))
 
 
-@dataclass(frozen=True)
-class DegeneracyProblem:
-    """Rank-drop conditions from generic bundle maps on a real even Grassmannian."""
+def _multiply_conditions(space, conditions, count_mode, what="conditions"):
+    """Multiply complex basis classes with multiplicities, degree checked first.
 
-    space: HalvingSpaceDescriptor
-    corank: int
-    maps: int
-
-    def __post_init__(self):
-        if self.corank < 1:
-            raise ValueError("corank must be positive")
-        if self.maps < 0:
-            raise ValueError("number of maps must be nonnegative")
-
-
-def _integrate_product(space, halved_conditions):
-    """Multiply complex basis classes with multiplicities and integrate."""
-    fp = space.fixed_point
-    if space.grassmannian_fixed_point:
-        acc = GrassmannClass.unit(fp)
-        integrate = gr_integrate
-    else:
-        acc = FlagClass.unit(fp)
-        integrate = flag_integrate
-    for half, count in halved_conditions:
-        base = _complex_basis(space, half)
+    `conditions` are (complex index, count) pairs on the complex space of
+    `space` (itself, or its fixed point for a halving space). The total
+    degree is checked before anything is multiplied: in count mode it must
+    equal the dimension and the point-class coefficient is returned; in
+    class mode the product class is returned, and a degree above the
+    dimension gives the zero class at once. Degree-0 conditions are the unit
+    and are skipped, so no more than `dim` products are taken.
+    """
+    fp = space.fixed_point if isinstance(space, HalvingSpaceDescriptor) else space
+    ring, integrate = _complex_ring(fp)
+    factors, total = [], 0
+    for index, count in conditions:
+        base = ring.basis(fp, index)
+        (key,) = base.terms
+        degree = base._rank(key)
+        if degree:
+            factors.append((base, count))
+            total += count * degree
+    dim = fp.complex_dimension
+    if count_mode and total != dim:
+        name = "dimension" if fp is space else "fixed-point dimension"
+        raise DimensionMismatch(
+            f"{what} fill degree {total}, but {space} has {name} {dim}"
+        )
+    if total > dim:
+        return ring.zero(fp)
+    product = ring.unit(fp)
+    for base, count in factors:
         for _ in range(count):
-            acc = acc * base
-    return integrate(acc)
+            product = product * base
+    return integrate(product) if count_mode else product
 
 
 def real_lower_bound(problem):
@@ -423,21 +375,12 @@ def real_lower_bound(problem):
     if space.kind != REAL_EVEN:
         raise ValueError(f"real lower bounds need a real even space, not {space}")
     halved = []
-    total = 0
     for pos, (index, count) in enumerate(problem.conditions, start=1):
         try:
-            half = _halve_index(space, index)
+            halved.append((_halve_index(space, index), count))
         except NotADoubleIndex as exc:
             raise NotADoubleIndex(f"condition {pos}: {exc}") from None
-        halved.append((half, count))
-        total += count * _complex_degree(space, half)
-    dim = space.fixed_point.complex_dimension
-    if total != dim:
-        raise DimensionMismatch(
-            f"halved conditions fill degree {total}, but {space} "
-            f"has fixed-point dimension {dim}"
-        )
-    return _integrate_product(space, halved)
+    return _multiply_conditions(space, halved, True, "halved conditions")
 
 
 def quaternionic_count(problem):
@@ -450,16 +393,7 @@ def quaternionic_count(problem):
     space = problem.space
     if space.kind != QUATERNIONIC:
         raise ValueError(f"quaternionic counts need a quaternionic space, not {space}")
-    total = 0
-    for index, count in problem.conditions:
-        total += count * _complex_degree(space, index)
-    dim = space.fixed_point.complex_dimension
-    if total != dim:
-        raise DimensionMismatch(
-            f"conditions fill degree {total}, but {space} "
-            f"has fixed-point dimension {dim}"
-        )
-    return _integrate_product(space, problem.conditions)
+    return _multiply_conditions(space, problem.conditions, True)
 
 
 def real_degeneracy_lower_bound(space, maps, corank=2):
@@ -480,3 +414,64 @@ def real_degeneracy_lower_bound(space, maps, corank=2):
     if rho < 0:
         raise ValueError(f"corank {corank} exceeds the bundle rank of {space}")
     return degeneracy_count(fp, fp.k, fp.l, rho, maps)
+
+
+_PROVENANCE = {
+    "count": (
+        "expanded the condition product in the Schubert basis and read off "
+        "the coefficient of the point class"
+    ),
+    "class": (
+        "expanded the condition product in the Schubert basis of the "
+        "ambient space"
+    ),
+    "corank": (
+        "halved each rank-drop condition and evaluated the "
+        "determinantal locus class on the fixed-point Grassmannian; "
+        "the complex count certifies the real lower bound"
+    ),
+    REAL_EVEN: (
+        "halved the doubled conditions to a complex problem on the "
+        "fixed-point space; its intersection number certifies the "
+        "real lower bound"
+    ),
+    QUATERNIONIC: (
+        "the halving map matches the quaternionic problem with the "
+        "complex problem on the fixed-point space, solution for "
+        "solution"
+    ),
+    OCTONIONIC: (
+        "transported the conditions to the quaternionic three-step "
+        "flag carrier and counted there via the complex fixed-point "
+        "space"
+    ),
+}
+
+
+def solve(parsed):
+    """Solve one parsed problem (see `serialize.parse_problem`).
+
+    Returns (value, provenance): the count or lower bound as an integer, or
+    the product class in class mode. Complex conditions are multiplied in
+    their own ring; real even conditions are halved, quaternionic ones kept,
+    and octonionic ones moved to the quaternionic (1,1,1) carrier before
+    they reach it. Index errors raise BoxOverflow or ValueError.
+    """
+    space = parsed.space
+    if not isinstance(space, HalvingSpaceDescriptor):
+        count_mode = parsed.mode == "count"
+        value = _multiply_conditions(space, parsed.conditions, count_mode)
+        return value, _PROVENANCE[parsed.mode]
+    if parsed.degeneracy is not None:
+        corank, count = parsed.degeneracy
+        value = real_degeneracy_lower_bound(space, count, corank=corank)
+        return value, _PROVENANCE["corank"]
+    problem = SchubertProblem(space, parsed.conditions)
+    if space.kind == REAL_EVEN:
+        value = real_lower_bound(problem)
+    elif space.kind == QUATERNIONIC:
+        value = quaternionic_count(problem)
+    else:
+        carrier = HalvingSpaceDescriptor.quaternionic_flag((1, 1, 1))
+        value = quaternionic_count(SchubertProblem(carrier, problem.conditions))
+    return value, _PROVENANCE[space.kind]

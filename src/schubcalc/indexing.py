@@ -133,10 +133,6 @@ def normalize_osp(blocks):
     return osp
 
 
-def osp_ground_size(osp):
-    return sum(len(b) for b in osp)
-
-
 def osp_block_sizes(osp):
     return tuple(len(b) for b in osp)
 

@@ -17,6 +17,7 @@ the tableau counter above.
 
 from functools import lru_cache
 
+from .combination import SparseCombination
 from .indexing import (
     normalize_partition,
     partition_contains,
@@ -133,107 +134,39 @@ def expand_basis_product(lam, mu, rows=None, cols=None):
 # ---------------------------------------------------------------------------
 
 
-class SchurExpansion:
-    """Finite integer combination of Schur basis elements s_lam."""
+class SchurExpansion(SparseCombination):
+    """Finite integer combination of Schur basis elements s_lam; no space."""
 
-    __slots__ = ("terms",)
+    __slots__ = ()
+    _rank = staticmethod(partition_size)
 
     def __init__(self, terms=None):
-        clean = {}
-        if terms:
-            for lam, c in terms.items():
-                if c:
-                    key = normalize_partition(lam)
-                    c2 = clean.get(key, 0) + c
-                    if c2:
-                        clean[key] = c2
-                    else:
-                        clean.pop(key, None)
-        self.terms = clean
+        super().__init__(None, terms or {})
 
-    @classmethod
-    def zero(cls):
-        return cls()
+    @staticmethod
+    def _key(space, lam):
+        return normalize_partition(lam)
+
+    @staticmethod
+    def _unit_key(space):
+        return ()
+
+    def _product(self, other):
+        return schur_multiply(self, other)
 
     @classmethod
     def one(cls):
-        return cls({(): 1})
+        return cls.unit()
 
     @classmethod
     def basis(cls, lam):
-        return cls({normalize_partition(lam): 1})
-
-    def is_zero(self):
-        return not self.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        if not isinstance(other, SchurExpansion):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def coefficient(self, lam):
-        return self.terms.get(normalize_partition(lam), 0)
+        return cls({lam: 1})
 
     def support(self):
         return set(self.terms)
 
     def degrees(self):
         return {partition_size(lam) for lam in self.terms}
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for lam, c in other.terms.items():
-            c2 = out.get(lam, 0) + c
-            if c2:
-                out[lam] = c2
-            else:
-                out.pop(lam, None)
-        p = SchurExpansion.__new__(SchurExpansion)
-        p.terms = out
-        return p
-
-    def __neg__(self):
-        p = SchurExpansion.__new__(SchurExpansion)
-        p.terms = {lam: -c for lam, c in self.terms.items()}
-        return p
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            p = SchurExpansion.__new__(SchurExpansion)
-            p.terms = {} if other == 0 else {lam: c * other for lam, c in self.terms.items()}
-            return p
-        return schur_multiply(self, other)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n):
-        if n < 0:
-            raise ValueError("negative powers are not defined here")
-        result = SchurExpansion.one()
-        for _ in range(n):
-            result = result * self
-        return result
-
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda t: (partition_size(t[0]), t[0]))
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        bits = []
-        for lam, c in self.sorted_terms():
-            name = "s%r" % (list(lam),)
-            bits.append(name if c == 1 else "%d*%s" % (c, name))
-        return " + ".join(bits).replace("+ -", "- ")
 
 
 def schur_multiply(a, b):
@@ -242,14 +175,8 @@ def schur_multiply(a, b):
     for lam, ca in a.terms.items():
         for mu, cb in b.terms.items():
             for nu, c in expand_basis_product(lam, mu):
-                c2 = out.get(nu, 0) + ca * cb * c
-                if c2:
-                    out[nu] = c2
-                else:
-                    out.pop(nu, None)
-    p = SchurExpansion.__new__(SchurExpansion)
-    p.terms = out
-    return p
+                out[nu] = out.get(nu, 0) + ca * cb * c
+    return SchurExpansion._make(None, out)
 
 
 # ---------------------------------------------------------------------------

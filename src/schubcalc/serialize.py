@@ -9,7 +9,6 @@ decimal strings beyond that.
 
 from dataclasses import dataclass
 
-from .errors import BoxOverflow
 from .flag import FlagClass, FlagDescriptor
 from .grassmann import GrassmannClass, GrassmannianDescriptor
 from .halving import (
@@ -23,9 +22,6 @@ from .indexing import (
     normalize_osp,
     normalize_partition,
     normalize_perm,
-    osp_length,
-    partition_size,
-    perm_length,
 )
 from .schur import SchurExpansion
 
@@ -149,41 +145,24 @@ def _term_entry(key_name, index, coeff):
     return {key_name: index_to_json(index), "coeff": str(coeff)}
 
 
-def class_to_json(a):
-    if isinstance(a, SchurExpansion):
-        return {
-            "terms": [
-                _term_entry("partition", lam, c) for lam, c in a.sorted_terms()
-            ]
-        }
-    if isinstance(a, GrassmannClass):
-        return {
-            "space": space_to_json(a.space),
-            "terms": [
-                _term_entry("partition", lam, c) for lam, c in a.sorted_terms()
-            ],
-        }
+def _term_key_name(a):
+    if isinstance(a, (SchurExpansion, GrassmannClass)):
+        return "partition"
     if isinstance(a, FlagClass):
-        return {
-            "space": space_to_json(a.space),
-            "terms": [
-                _term_entry("permutation", w, c) for w, c in a.sorted_terms()
-            ],
-        }
+        return "permutation"
     if isinstance(a, HalvingClass):
-        space = a.space
-        if space.grassmannian_fixed_point:
-            key, rank = "partition", partition_size
-        elif space.kind == OCTONIONIC:
-            key, rank = "permutation", perm_length
-        else:
-            key, rank = "osp", osp_length
-        ordered = sorted(a.terms.items(), key=lambda t: (rank(t[0]), t[0]))
-        return {
-            "space": space_to_json(space),
-            "terms": [_term_entry(key, i, c) for i, c in ordered],
-        }
+        if a.space.grassmannian_fixed_point:
+            return "partition"
+        return "permutation" if a.space.kind == OCTONIONIC else "osp"
     raise TypeError(f"cannot serialize {type(a).__name__}")
+
+
+def class_to_json(a):
+    key_name = _term_key_name(a)
+    terms = [_term_entry(key_name, index, c) for index, c in a.sorted_terms()]
+    if a.space is None:
+        return {"terms": terms}
+    return {"space": space_to_json(a.space), "terms": terms}
 
 
 @dataclass(frozen=True)
@@ -265,6 +244,18 @@ def parse_problem(obj, mode_override=None):
             _require(
                 isinstance(corank, int) and corank >= 2 and corank % 2 == 0,
                 f"condition {pos}: 'corank' must be a positive even integer",
+            )
+            fp = space.fixed_point
+            _require(
+                corank // 2 <= fp.k,
+                f"condition {pos}: corank {corank} exceeds the bundle rank "
+                f"{2 * fp.k} of {space}",
+            )
+            rho = fp.k - corank // 2
+            _require(
+                rho <= fp.l,
+                f"condition {pos}: corank {corank} leaves rank {2 * rho}, above "
+                f"n-k = {2 * fp.l} on {space}",
             )
             degeneracy = (corank, count)
         else:

@@ -11,10 +11,12 @@ import schubcalc
 import schubcalc.schur
 from schubcalc.cli import main
 from schubcalc.selftest import run_selftest
+from schubcalc.serialize import parse_problem
 
 GR24 = {"type": "complex_grassmannian", "k": 2, "n": 4}
 GR48 = {"type": "complex_grassmannian", "k": 4, "n": 8}
 GR4R8 = {"type": "real_even_grassmannian", "k": 4, "n": 8}
+GR6R8 = {"type": "real_even_grassmannian", "k": 6, "n": 8}
 GR2H4 = {"type": "quaternionic_grassmannian", "k": 2, "n": 4}
 OCT = {"type": "octonionic_flag"}
 FL3 = {"type": "complex_flag", "dims": [1, 1, 1]}
@@ -131,10 +133,50 @@ def test_solve_exit_codes(capsys, tmp_path):
         (problem(GR24, []), 2),
         (problem(GR24, [{"index": [1], "count": 3}]), 3),
         (problem(GR4R8, [{"index": [2, 1], "count": 1}, {"index": [2, 2], "count": 1}]), 3),
+        (problem(GR4R8, [{"corank": 10}]), 2),
+        (problem(GR6R8, [{"corank": 2, "count": 3}]), 2),
+        (problem(GR24, [{"index": [1], "count": 10**12}]), 3),
     ]:
         code, _, err = solve_json(capsys, tmp_path, payload)
         assert code == expected, (payload, err)
         assert "error:" in err
+
+
+def test_solve_skips_work_the_degree_rules_out(capsys, tmp_path):
+    # A count of 10**12 must be settled by the degree check alone: nothing
+    # may be multiplied once per count.
+    payload = problem(GR24, [{"index": [1], "count": 10**12}], mode="class")
+    code, out, err = solve_json(capsys, tmp_path, payload)
+    assert code == 0, err
+    assert json.loads(out)["result"] == {"space": GR24, "terms": []}
+
+    payload = problem(
+        GR4R8, [{"index": [], "count": 10**12}, {"index": [2, 2], "count": 4}]
+    )
+    code, out, err = solve_json(capsys, tmp_path, payload)
+    assert code == 0, err
+    assert json.loads(out)["result"] == 2
+
+
+def test_solve_octonionic_short_permutation(capsys, tmp_path):
+    # [2, 1] is the permutation [2, 1, 3] of the three letters.
+    payload = problem(OCT, [{"index": [2, 1], "count": 2}, {"index": [1, 3, 2]}])
+    code, out, err = solve_json(capsys, tmp_path, payload)
+    assert code == 0, err
+    assert json.loads(out)["result"] == 1
+
+
+def test_library_solve_all_families():
+    batch = [
+        problem(GR48, [{"index": [2, 2], "count": 4}]),
+        problem(GR4R8, [{"index": [2, 2], "count": 4}]),
+        problem(GR2H4, [{"index": [1], "count": 4}]),
+        problem(OCT, [{"index": [2, 1, 3], "count": 2}, {"index": [1, 3, 2], "count": 1}]),
+        problem(GR4R8, [{"corank": 2, "count": 4}]),
+        problem(FL3, [{"index": [2, 1, 3], "count": 2}, {"index": [1, 3, 2], "count": 1}]),
+    ]
+    values = [schubcalc.solve(parse_problem(obj))[0] for obj in batch]
+    assert values == [6, 2, 2, 1, 32, 1]
 
 
 def test_solve_batch_error_names_position(capsys, tmp_path):
@@ -215,6 +257,14 @@ def test_porteous_rejects_bad_rank(capsys):
         capsys, ["porteous", "--space", json.dumps(GR24), "2", "2", "3", "4"]
     )
     assert code == 2
+
+
+def test_porteous_rejects_negative_maps(capsys):
+    code, _, err = run_cli(
+        capsys, ["porteous", "--space", json.dumps(GR24), "2", "2", "1", "-1"]
+    )
+    assert code == 2
+    assert "nonnegative number of maps" in err
 
 
 def test_kappa_command(capsys):
