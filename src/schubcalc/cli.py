@@ -377,9 +377,16 @@ def build_parser():
     return parser
 
 
+_parser = None
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    # parse_args leaves the parser as it found it, so one parser serves
+    # every call in a process; building it costs far more than a parse.
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     start = time.perf_counter()
     try:
         code = args.fn(args)

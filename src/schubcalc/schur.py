@@ -1,23 +1,37 @@
 """Schur expansions and Littlewood-Richardson arithmetic.
 
-The multiplication kernel counts Littlewood-Richardson skew tableaux
-directly.  A tableau of shape nu/lam and content mu is filled in the
-order of its reverse reading word (each row right to left, rows top to
-bottom), which lets every constraint be checked the moment a value is
-placed: rows stay weakly increasing, columns strictly increasing, the
-content never exceeds mu, and every prefix of the reading word has at
-least as many i's as (i+1)'s.
+Two kernels compute Littlewood-Richardson numbers, each suited to one job.
 
-The independent reference for products is oracle_schur_polynomial: the
-actual Schur polynomial in n variables, built by enumerating
-semistandard tableaux as chains of horizontal strips (one strip per
-letter) and aggregating monomials by weight.  It shares no code with
-the tableau counter above.
+Products (expand_basis_product, behind schur_multiply and Grassmannian
+multiplication) take one pass that yields every nu at once.  Starting
+from lam, the letters of mu (the factor with the smaller content) are
+added one at a time, each as a horizontal strip that stays inside the
+box.  The lattice condition is checked row by row as a strip is placed:
+through each row, letter i+1 occurs at most as often as letter i does in
+the rows above.  Partial tableaux with the same shape and the same last
+strip are merged, so the work follows the distinct shapes rather than
+the tableaux (Fulton, Young Tableaux, ch. 5; the scheme of Buch's lrcalc).
+
+A single coefficient (lr_coefficient) counts skew tableaux of shape
+nu/lam and content mu box by box, filled in the order of the reverse
+reading word (each row right to left, rows top to bottom), so every
+constraint is checked the moment a value is placed: rows stay weakly
+increasing, columns strictly increasing, the content never exceeds mu,
+and every prefix of the reading word has at least as many i's as
+(i+1)'s.  For one nu this is far cheaper than a strip pass.
+
+The former product route, one lr_coefficient search per candidate nu, is
+kept in tests/lr_oracle.py as the oracle for the strip pass.  The
+independent reference for both is oracle_schur_polynomial: the actual
+Schur polynomial in n variables, built by enumerating semistandard
+tableaux as chains of horizontal strips and aggregating monomials by
+weight.  It shares no code with either kernel.
 """
 
 from functools import lru_cache
 
 from .combination import SparseCombination
+from .flag import _schubert_table
 from .indexing import (
     normalize_partition,
     partition_contains,
@@ -46,87 +60,156 @@ def lr_coefficient(lam, mu, nu):
 
 @lru_cache(maxsize=None)
 def _lr_count(lam, mu, nu):
+    """Count LR tableaux of shape nu/lam and content mu, one box at a time.
+
+    Backtracking runs on an explicit stack, so a skew shape of thousands
+    of boxes needs no recursion depth.
+    """
     nrows = len(nu)
     lamp = lam + (0,) * (nrows - len(lam))
     cells = []
     for r in range(nrows):
         for c in range(nu[r] - 1, lamp[r] - 1, -1):
             cells.append((r, c))
+    # neighbours filled before each box: the value to its right bounds it
+    # from above, the value over it from below (-1 where there is none)
+    position = {cell: i for i, cell in enumerate(cells)}
+    right = [position.get((r, c + 1), -1) for r, c in cells]
+    above = [position.get((r - 1, c), -1) for r, c in cells]
     nvals = len(mu)
+    last = len(cells) - 1
     counts = [0] * nvals
-    grid = [dict() for _ in range(nrows)]
-
-    def rec(i):
-        if i == len(cells):
-            return 1
-        r, c = cells[i]
-        hi = grid[r][c + 1] if c + 1 < nu[r] else nvals
-        lo = grid[r - 1][c] + 1 if r > 0 and c >= lamp[r - 1] else 1
-        total = 0
-        row = grid[r]
-        for v in range(lo, hi + 1):
+    # the lattice condition keeps counts weakly decreasing, so the letters
+    # in use are 1..used and no box can take a letter above used + 1
+    used = 0
+    vals = [0] * len(cells)  # value in each box; while searching, the last one tried
+    tops = [0] * len(cells)
+    tops[0] = nvals
+    total = 0
+    i = 0
+    while True:
+        v = vals[i] + 1
+        hi = tops[i]
+        if hi > used:
+            hi = used + 1
+        while v <= hi:
             iv = v - 1
-            if counts[iv] >= mu[iv]:
-                continue
-            if v > 1 and counts[iv - 1] <= counts[iv]:
-                continue
-            counts[iv] += 1
-            row[c] = v
-            total += rec(i + 1)
+            if counts[iv] < mu[iv] and (v == 1 or counts[iv - 1] > counts[iv]):
+                break
+            v += 1
+        if v > hi:
+            i -= 1
+            if i < 0:
+                return total
+            iv = vals[i] - 1
             counts[iv] -= 1
-        if c in row:
-            del row[c]
-        return total
+            if not counts[iv]:
+                used -= 1
+            continue
+        vals[i] = v
+        if i == last:
+            total += 1
+            continue
+        if not counts[v - 1]:
+            used += 1
+        counts[v - 1] += 1
+        i += 1
+        j = above[i]
+        vals[i] = vals[j] if j >= 0 else 0
+        j = right[i]
+        tops[i] = vals[j] if j >= 0 else nvals
 
-    return rec(0)
 
+def _strips(shape, prev, size, width, nrows):
+    """Horizontal strips of `size` boxes that can be added to `shape`.
 
-def _bounded_partitions(total, low, width, maxrows):
-    """Partitions of the given size with row i at least low[i], first part
-    at most width, at most maxrows rows."""
-    results = []
-
-    def rec(i, prev, remaining, acc):
-        if remaining == 0 and all(low[j] == 0 for j in range(i, maxrows)):
-            results.append(tuple(acc))
-            return
-        if i == maxrows:
-            return
-        lo = low[i]
-        hi = min(prev, remaining - sum(low[i + 1:]))
-        for p in range(hi, max(lo, 1) - 1, -1):
-            rec(i + 1, p, remaining - p, acc + [p])
-
-    rec(0, width, total, [])
-    return results
+    Each strip is a tuple of (row, boxes) pairs, rows increasing.  No row
+    passes `width`, row `nrows`, or the old row above it.  When `prev`
+    (the previous letter's strip) is given, the new letter keeps the
+    lattice condition: through each row it occurs at most as often as the
+    previous letter does in the rows above.
+    """
+    rows, caps, limit = [], [], []
+    above, k = width, 0
+    # seen: the previous letter's boxes in the rows above row r
+    seen = size if prev is None else 0
+    prev = prev or ()
+    for r in range(min(len(shape) + 1, nrows)):
+        here = shape[r] if r < len(shape) else 0
+        while k < len(prev) and prev[k][0] < r:
+            seen += prev[k][1]
+            k += 1
+        if above > here and seen:
+            rows.append(r)
+            caps.append(min(above - here, seen))
+            limit.append(seen)
+        above = here
+    tail = [0] * (len(rows) + 1)
+    for j in range(len(rows) - 1, -1, -1):
+        tail[j] = tail[j + 1] + caps[j]
+    if tail[0] < size:
+        return []
+    out = []
+    stack = [(0, 0, ())]
+    while stack:
+        j, used, adds = stack.pop()
+        if used == size:
+            out.append(adds)
+            continue
+        left = size - used
+        hi = min(caps[j], left, limit[j] - used)
+        lo = max(0, left - tail[j + 1])
+        if lo == 0:
+            stack.append((j + 1, used, adds))
+            lo = 1
+        r = rows[j]
+        for a in range(lo, hi + 1):
+            stack.append((j + 1, used + a, adds + ((r, a),)))
+    return out
 
 
 @lru_cache(maxsize=None)
 def expand_basis_product(lam, mu, rows=None, cols=None):
-    """s_lam * s_mu as a tuple of (nu, coefficient) pairs.
+    """s_lam * s_mu as a tuple of (nu, coefficient) pairs, nu in decreasing
+    lexicographic order.
 
-    When rows/cols are given, candidates outside the box are skipped
-    (exactly the quotient taken by Grassmannian multiplication).
+    One pass over the letters of the factor with the smaller content: each
+    letter adds a horizontal strip that keeps the lattice condition, and
+    partial tableaux that reach the same shape with the same last strip
+    are merged with their multiplicities added.  When rows/cols are given,
+    no shape leaves the box (exactly the quotient taken by Grassmannian
+    multiplication).
     """
-    total = partition_size(lam) + partition_size(mu)
-    width = lam[0] + mu[0] if lam and mu else (lam or mu or (0,))[0]
+    lam = normalize_partition(lam)
+    mu = normalize_partition(mu)
+    if partition_size(mu) > partition_size(lam):
+        lam, mu = mu, lam
+    if not lam:
+        return (((), 1),)
+    nrows = len(lam) + len(mu)
+    width = lam[0] + (mu[0] if mu else 0)
+    if rows is not None:
+        nrows = min(nrows, rows)
     if cols is not None:
         width = min(width, cols)
-    maxrows = len(lam) + len(mu)
-    if rows is not None:
-        maxrows = min(maxrows, rows)
-    if total == 0:
-        return (((), 1),)
-    if maxrows == 0 or width == 0 or total > maxrows * width:
+    if len(lam) > nrows or lam[0] > width:
         return ()
-    low = [max(lam[i] if i < len(lam) else 0, mu[i] if i < len(mu) else 0)
-           for i in range(maxrows)]
-    out = []
-    for nu in _bounded_partitions(total, low, width, maxrows):
-        c = lr_coefficient(lam, mu, nu)
-        if c:
-            out.append((nu, c))
-    return tuple(out)
+    layer = {(lam, None): 1}
+    for i, size in enumerate(mu):
+        keep = i + 1 < len(mu)
+        nxt = {}
+        for (shape, prev), mult in layer.items():
+            for strip in _strips(shape, prev, size, width, nrows):
+                new = list(shape)
+                for r, a in strip:
+                    if r < len(new):
+                        new[r] += a
+                    else:
+                        new.append(a)
+                key = (tuple(new), strip if keep else None)
+                nxt[key] = nxt.get(key, 0) + mult
+        layer = nxt
+    return tuple(sorted(((nu, c) for (nu, _), c in layer.items()), reverse=True))
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +441,9 @@ def oracle_schur_polynomial(lam, n):
 
 
 def oracle_cache_clear():
-    """Release cached tableau weights (they can get large in high degree)."""
+    """Release every kernel cache: tableau weights, LR counts, basis
+    products and Schubert polynomials (they can get large in high degree)."""
     _oracle_cache.clear()
     _lr_count.cache_clear()
     expand_basis_product.cache_clear()
+    _schubert_table.clear()

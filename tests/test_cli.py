@@ -195,6 +195,44 @@ def test_lr_command(capsys):
     assert json.loads(out)["result"] == 2
 
 
+def test_lr_command_long_rows(capsys):
+    # one row of 1000 boxes times another: the skew shape has 1000 boxes
+    code, out, err = run_cli(capsys, ["lr", "[1000]", "[1000]", "[2000]"])
+    assert code == 0, err
+    assert json.loads(out)["result"] == 1
+
+
+def test_solve_long_rows(capsys, tmp_path):
+    space = {"type": "complex_grassmannian", "k": 1, "n": 2001}
+    payload = problem(space, [{"index": [1000], "count": 2}])
+    code, out, err = solve_json(capsys, tmp_path, payload)
+    assert code == 0, err
+    assert json.loads(out)["result"] == 1
+
+
+def test_lr_coefficient_staircase_squared():
+    stair = (6, 5, 4, 3, 2, 1)
+    nu = (9, 8, 7, 5, 4, 3, 3, 2, 1)
+    assert schubcalc.schur.lr_coefficient(stair, stair, nu) == 2064
+
+
+def test_main_called_repeatedly_keeps_no_state(capsys, tmp_path):
+    path = write_problem(tmp_path, problem(GR24, [{"index": [1], "count": 4}]))
+    code, out, _ = run_cli(capsys, ["solve", "--input", path, "--mode", "class"])
+    assert code == 0
+    assert json.loads(out)["result"]["terms"] == [{"partition": [2, 2], "coeff": "2"}]
+    code, out, _ = run_cli(capsys, ["solve", "--input", path])
+    assert code == 0
+    assert json.loads(out)["result"] == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--input", path, "--mode", "bogus"])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+    code, out, _ = run_cli(capsys, ["solve", "--input", path, "--format", "text"])
+    assert code == 0
+    assert out.startswith("result: 2\n")
+
+
 def test_mult_command(capsys):
     code, out, _ = run_cli(
         capsys, ["mult", "--space", json.dumps(GR24), "[1]", "[1]"]

@@ -1,6 +1,8 @@
 """Littlewood-Richardson arithmetic against frozen values and the tableau oracle."""
 
+import importlib
 import itertools
+import pkgutil
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,10 +13,14 @@ from schubcalc.indexing import (
     partitions_of,
 )
 from schubcalc.poly import SparsePolynomial
+import schubcalc
+from schubcalc.flag import _schubert_table, schubert_polynomial
 from schubcalc.schur import (
     SchurExpansion,
+    _oracle_cache,
     jacobi_trudi,
     lr_coefficient,
+    oracle_cache_clear,
     oracle_schur_polynomial,
     pieri,
     ring_determinant,
@@ -236,3 +242,22 @@ def test_ring_determinant_on_integers():
     mat = [[Z(2), Z(1), Z(0)], [Z(1), Z(3), Z(1)], [Z(0), Z(1), Z(4)]]
     assert ring_determinant(mat, Z(1)).v == 2 * (3 * 4 - 1) - (4 - 0)
     assert ring_determinant([], Z(1)).v == 1
+
+
+def test_oracle_cache_clear_empties_every_kernel_cache():
+    lru_caches = set()
+    for info in pkgutil.iter_modules(schubcalc.__path__):
+        if info.name == "__main__":
+            continue
+        module = importlib.import_module(f"schubcalc.{info.name}")
+        lru_caches |= {f for f in vars(module).values() if hasattr(f, "cache_info")}
+    assert len(lru_caches) >= 2  # _lr_count and expand_basis_product at least
+    schur_multiply(s(2, 1), s(2, 1))
+    lr_coefficient((2, 1), (2, 1), (3, 2, 1))
+    oracle_schur_polynomial((2, 1), 3)
+    schubert_polynomial((2, 3, 1))
+    assert _oracle_cache and _schubert_table
+    assert all(f.cache_info().currsize for f in lru_caches)
+    oracle_cache_clear()
+    assert not _oracle_cache and not _schubert_table
+    assert not any(f.cache_info().currsize for f in lru_caches)
