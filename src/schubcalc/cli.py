@@ -11,10 +11,12 @@ import sys
 import time
 from fractions import Fraction
 
+from . import halving
 from .errors import (
     BoxOverflow,
     DimensionMismatch,
     NotADoubleIndex,
+    SchubertError,
     SpaceMismatch,
 )
 from .flag import FlagClass, FlagDescriptor
@@ -31,7 +33,6 @@ from .halving import (
     HalvingClass,
     HalvingSpaceDescriptor,
     kappa,
-    solve,
 )
 from .schur import lr_coefficient
 from .selftest import run_selftest
@@ -119,7 +120,7 @@ def class_from_json(space, raw):
 def _solve_report(parsed):
     """Solve one parsed problem and build its report."""
     try:
-        value, provenance = solve(parsed)
+        value, provenance = halving.solve(parsed)
     except (BoxOverflow, ValueError) as exc:
         raise ProblemSchemaError(str(exc)) from None
     if isinstance(value, int):
@@ -395,6 +396,9 @@ def main(argv=None):
         code = EXIT_SCHEMA
     except (DimensionMismatch, NotADoubleIndex, SpaceMismatch) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        code = EXIT_UNSOLVABLE
+    except SchubertError as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         code = EXIT_UNSOLVABLE
     elapsed = (time.perf_counter() - start) * 1000.0
     print(f"elapsed_ms: {elapsed:.1f}", file=sys.stderr)

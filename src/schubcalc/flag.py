@@ -1,14 +1,20 @@
-"""Schubert calculus on partial flag manifolds via Schubert polynomials.
+"""Schubert calculus on partial flag manifolds.
 
 Basis classes are indexed by minimal-length coset representatives for the
-block-permutation subgroup of the flag's dimension vector. Products are
-computed at the polynomial level: multiply the two Schubert polynomial
-representatives, expand the result in the Schubert basis of a large enough
-symmetric group by triangular elimination, then keep only labels that index
-classes of the target manifold. Expansion correctness does not rest on
-trusting the leading-term convention: every elimination step re-checks that
-the basis polynomial it subtracts has the expected minimal monomial with
+block-permutation subgroup of the flag's dimension vector; they sit inside
+H*(Fl_n) as the Schubert classes S_w of those permutations. A product is
+computed without leaving S_n: take the Schubert polynomial of one factor and
+apply each of its monomials to the other factor's whole class, one variable
+at a time, by Monk's rule (Monk 1959). Labels outside S_n span the ideal of
+the coinvariant ring (Macdonald, Notes on Schubert Polynomials, 1991), so the
+terms that leave S_n are dropped as they appear.
+
+Schubert polynomials come from divided differences of the staircase
+monomial. `expand_in_schubert_basis` writes a polynomial in the Schubert
+basis by triangular elimination; every elimination step re-checks that the
+basis polynomial it subtracts has the expected minimal monomial with
 coefficient one, so a convention slip raises instead of corrupting output.
+No product goes through it; it serves the self-test and the test oracle.
 """
 
 from dataclasses import dataclass
@@ -22,7 +28,6 @@ from .indexing import (
     normalize_perm,
     osp_block_sizes,
     osp_from_perm,
-    perm_code,
     perm_compose,
     perm_from_code,
     perm_from_osp,
@@ -146,15 +151,6 @@ def expand_in_schubert_basis(p, n):
     return out
 
 
-def _ambient_size(p, n):
-    m = n
-    for exp in p.terms:
-        m = max(m, len(exp) + 1)
-        for idx, e in enumerate(exp):
-            m = max(m, e + idx + 1)
-    return m
-
-
 @dataclass(frozen=True)
 class FlagDescriptor:
     """Fl_D(C^n): flags with subquotient dimensions D = (d_1, ..., d_r)."""
@@ -251,32 +247,102 @@ class FlagClass(SparseCombination):
         return {osp_from_perm(w, self.space.dims): c for w, c in self.terms.items()}
 
 
-def flag_multiply(a, b):
-    """Product in H*(Fl_D(C^n)) through polynomial representatives.
+def _times_variable(i, terms, n):
+    """x_i times a combination of S_w (w in S_n), by Monk's rule in H*(Fl_n).
 
-    Labels outside S_n vanish in the quotient and are dropped; labels inside
-    S_n must already be minimal representatives (the subring spanned by them
-    is closed under products), which is asserted rather than assumed.
+    x_i S_w is the sum of S_{w t_ij} over j > i minus the sum of S_{w t_ji}
+    over j < i, each over the transpositions that raise the length by
+    exactly one: w(j) lies on the far side of w(i) and no position between
+    them holds a value in between. Scanning away from i, the value swapped in
+    last bounds the next one. Transpositions with j > n leave S_n and vanish.
+    """
+    out = {}
+    get = out.get
+    p = i - 1
+    for w, c in terms.items():
+        wi = w[p]
+        hi = n + 1
+        for j in range(i, n):
+            v = w[j]
+            if wi < v < hi:
+                hi = v
+                key = w[:p] + (v,) + w[i:j] + (wi,) + w[j + 1:]
+                out[key] = get(key, 0) + c
+                if v == wi + 1:
+                    break
+        lo = 0
+        for j in range(p - 1, -1, -1):
+            v = w[j]
+            if lo < v < wi:
+                lo = v
+                key = w[:j] + (wi,) + w[j + 1:p] + (v,) + w[i:]
+                out[key] = get(key, 0) - c
+                if v == wi - 1:
+                    break
+    return {w: c for w, c in out.items() if c}
+
+
+def _monomial_times(exp, memo, n):
+    """x^exp times the class memo[()], memoised by monomial prefix.
+
+    The prefix of a monomial lowers its last variable by one, so monomials
+    that share leading exponents share the Monk steps that build them.
+    """
+    chain = []
+    while exp not in memo:
+        chain.append(exp)
+        if exp[-1] > 1:
+            exp = exp[:-1] + (exp[-1] - 1,)
+        else:
+            exp = exp[:-1]
+            while exp and exp[-1] == 0:
+                exp = exp[:-1]
+    terms = memo[exp]
+    for exp in reversed(chain):
+        terms = _times_variable(len(exp), terms, n)
+        memo[exp] = terms
+    return terms
+
+
+def _cheaper_to_expand(a, b):
+    """True when a is the cheaper factor to write as a polynomial."""
+    if len(a.terms) != len(b.terms):
+        return len(a.terms) < len(b.terms)
+    top_a = max(map(perm_length, a.terms), default=0)
+    return top_a < max(map(perm_length, b.terms), default=0)
+
+
+def flag_multiply(a, b):
+    """Product in H*(Fl_D(C^n)), computed inside S_n by Monk's rule.
+
+    The factor with fewer terms (then lower degree) is written as a
+    polynomial in x_1..x_{n-1} through its Schubert polynomials; each
+    monomial x^e of it multiplies the other factor's whole class by one
+    Monk step per variable, with x^e times the class memoised by prefix for
+    the call. Labels that leave S_n vanish in the quotient and are dropped.
+    Multiplying by the unit returns the other factor. Every output label
+    must already be a minimal representative (the subring they span is
+    closed under products), which is asserted rather than assumed.
     """
     a._check_space(b)
+    if _cheaper_to_expand(a, b):
+        a, b = b, a
+    poly = SparsePolynomial()
+    for v, c in b.terms.items():
+        poly = poly + c * schubert_polynomial(v).poly
+    if poly.terms == {(): 1}:
+        return a
     space = a.space
     n = space.n
+    memo = {(): a.terms}
     out = {}
-    for u, cu in a.terms.items():
-        pu = schubert_polynomial(u).poly
-        for v, cv in b.terms.items():
-            prod = pu * schubert_polynomial(v).poly
-            if prod.is_zero():
-                continue
-            m = _ambient_size(prod, n)
-            for w, c in expand_in_schubert_basis(prod, m).items():
-                ws = perm_strip(w)
-                if len(ws) > n:
-                    continue
-                ws = perm_pad(ws, n)
-                assert is_minimal_rep(ws, space.dims), (u, v, ws)
-                out[ws] = out.get(ws, 0) + cu * cv * c
-    return FlagClass._make(space, out)
+    for exp, c in poly.terms.items():
+        for w, d in _monomial_times(exp, memo, n).items():
+            out[w] = out.get(w, 0) + c * d
+    product = FlagClass._make(space, out)
+    for w in product.terms:
+        assert is_minimal_rep(w, space.dims), (a, b, w)
+    return product
 
 
 def flag_integrate(a):

@@ -159,6 +159,32 @@ def _check_flag_four():
     _expect(flag_mod.flag_integrate(top * unit), 1, "point class pairing")
 
 
+def _check_flag_polynomials():
+    """Every product in S_4 against the expanded product of Schubert polynomials.
+
+    The product kernel works by Monk's rule, like monk_multiply; this check
+    shares only the Schubert polynomials with it. Two factors from S_n have
+    monomials inside the staircase of S_(2n-1), where the product is expanded.
+    """
+    n = 4
+    space = flag_mod.FlagDescriptor((1,) * n)
+    perms = [tuple(p) for p in permutations(range(1, n + 1))]
+    for u in perms:
+        pu = flag_mod.schubert_polynomial(u).poly
+        for v in perms:
+            product = pu * flag_mod.schubert_polynomial(v).poly
+            want = {}
+            for w, c in flag_mod.expand_in_schubert_basis(product, 2 * n - 1).items():
+                w = indexing_mod.perm_strip(w)
+                if len(w) <= n:
+                    want[indexing_mod.perm_pad(w, n)] = c
+            got = flag_mod.flag_multiply(
+                flag_mod.FlagClass.from_permutation(space, u),
+                flag_mod.FlagClass.from_permutation(space, v),
+            )
+            _expect(dict(got.terms), want, f"product of {u} and {v}")
+
+
 def _check_giambelli_box():
     space = gr_mod.GrassmannianDescriptor(3, 6)
     count = 0
@@ -196,6 +222,7 @@ QUICK_CHECKS = (
     ("rank-drop locus", _check_rank_drop),
     ("halving bounds", _check_halving_bounds),
     ("degree-one products on three-step flags", _check_monk_three),
+    ("flag products against Schubert polynomials in S_4", _check_flag_polynomials),
 )
 
 FULL_CHECKS = QUICK_CHECKS + (

@@ -8,8 +8,10 @@ from pathlib import Path
 import pytest
 
 import schubcalc
+import schubcalc.halving
 import schubcalc.schur
 from schubcalc.cli import main
+from schubcalc.errors import DegreeOutOfRange
 from schubcalc.selftest import run_selftest
 from schubcalc.serialize import parse_problem
 
@@ -164,6 +166,34 @@ def test_solve_octonionic_short_permutation(capsys, tmp_path):
     code, out, err = solve_json(capsys, tmp_path, payload)
     assert code == 0, err
     assert json.loads(out)["result"] == 1
+
+
+def test_solve_divisor_volume_in_either_order(capsys, tmp_path):
+    # D_1 D_2^2 ... D_5^5 on Fl(1^6), listed in both orders.
+    n = 6
+    conditions = []
+    for r in range(1, n):
+        w = list(range(1, n + 1))
+        w[r - 1], w[r] = w[r], w[r - 1]
+        conditions.append({"index": w, "count": r})
+    space = {"type": "complex_flag", "dims": [1] * n}
+    for order in (conditions, conditions[::-1]):
+        code, out, err = solve_json(capsys, tmp_path, problem(space, order))
+        assert code == 0, err
+        assert json.loads(out)["result"] == 1
+
+
+def test_unmapped_domain_error_exits_three(monkeypatch, capsys, tmp_path):
+    def fail(parsed):
+        raise DegreeOutOfRange("no Chern class in degree 9")
+
+    monkeypatch.setattr(schubcalc.halving, "solve", fail)
+    payload = problem(GR24, [{"index": [1], "count": 4}])
+    code, out, err = solve_json(capsys, tmp_path, payload)
+    assert code == 3
+    assert out == ""
+    assert "error: DegreeOutOfRange: no Chern class in degree 9" in err
+    assert "Traceback" not in err
 
 
 def test_library_solve_all_families():

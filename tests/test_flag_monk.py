@@ -1,0 +1,109 @@
+"""The Monk's-rule flag product against the polynomial oracle.
+
+`flag_multiply` works inside S_n, one Monk step per variable; the oracle in
+`flag_oracle.py` multiplies Schubert polynomials and expands the product in
+a larger symmetric group. Both must give the same class.
+"""
+
+import itertools
+import random
+
+import pytest
+
+from schubcalc.flag import (
+    FlagClass,
+    FlagDescriptor,
+    _times_variable,
+    expand_in_schubert_basis,
+    flag_integrate,
+    flag_multiply,
+    monk_multiply,
+    schubert_polynomial,
+)
+from schubcalc.indexing import is_minimal_rep, perm_length, perm_pad, perm_strip
+from schubcalc.poly import SparsePolynomial
+
+from flag_oracle import polynomial_product
+
+
+def representatives(space):
+    return [
+        w for w in itertools.permutations(range(1, space.n + 1))
+        if is_minimal_rep(w, space.dims)
+    ]
+
+
+@pytest.mark.parametrize(
+    "dims", [(1, 1, 1, 1), (2, 2), (2, 1, 2), (1, 2, 2), (1, 1, 2, 2)]
+)
+def test_every_basis_pair_matches_the_oracle(dims):
+    space = FlagDescriptor(dims)
+    basis = [FlagClass.from_permutation(space, w) for w in representatives(space)]
+    for i, a in enumerate(basis):
+        for b in basis[i:]:
+            want = polynomial_product(a, b)
+            assert flag_multiply(a, b) == want, (a, b)
+            assert flag_multiply(b, a) == want, (b, a)
+
+
+def random_class(rng, space, reps, terms, max_length):
+    pool = [w for w in reps if perm_length(w) <= max_length]
+    out = {}
+    for w in rng.sample(pool, min(terms, len(pool))):
+        out[w] = rng.choice([-3, -2, -1, 1, 2, 3])
+    return FlagClass(space, out)
+
+
+@pytest.mark.parametrize(
+    "dims",
+    [(1, 1, 1, 1, 1), (1,) * 6, (1,) * 7, (2, 1, 3), (1, 2, 1, 2), (3, 4), (2, 2, 3)],
+)
+def test_random_multiterm_products_match_the_oracle(dims):
+    space = FlagDescriptor(dims)
+    reps = representatives(space)
+    rng = random.Random(f"flag-monk/{dims}")
+    for _ in range(6):
+        a = random_class(rng, space, reps, 3, space.complex_dimension)
+        b = random_class(rng, space, reps, 2, 4)
+        want = polynomial_product(a, b)
+        assert flag_multiply(a, b) == want, (a, b)
+        assert flag_multiply(b, a) == want, (b, a)
+
+
+def test_variable_times_schubert_class_in_s5():
+    """x_i S_w for every w in S_5, against the expanded polynomial product."""
+    n = 5
+    for w in itertools.permutations(range(1, n + 1)):
+        poly = schubert_polynomial(w).poly
+        for i in range(1, n):
+            product = SparsePolynomial.variable(i) * poly
+            want = {}
+            for v, c in expand_in_schubert_basis(product, n + 1).items():
+                v = perm_strip(v)
+                if len(v) <= n:
+                    want[perm_pad(v, n)] = c
+            assert _times_variable(i, {w: 1}, n) == want, (i, w)
+
+
+def test_unit_returns_the_other_factor():
+    space = FlagDescriptor((1, 2, 2))
+    a = FlagClass(space, {(2, 1, 4, 3, 5): 2, (1, 3, 5, 2, 4): -1})
+    unit = FlagClass.unit(space)
+    assert flag_multiply(unit, a) is a
+    assert flag_multiply(a, unit) is a
+
+
+@pytest.mark.parametrize("n", [7, 8])
+def test_divisor_volume_chain_matches_monk(n):
+    """D_1 D_2^2 ... D_{n-1}^{n-1}, step by step, against monk_multiply."""
+    space = FlagDescriptor((1,) * n)
+    by_kernel = by_monk = FlagClass.unit(space)
+    for r in range(1, n):
+        divisor = FlagClass.from_permutation(
+            space, perm_pad((*range(1, r), r + 1, r), n)
+        )
+        for _ in range(r):
+            by_kernel = flag_multiply(by_kernel, divisor)
+            by_monk = monk_multiply(r, by_monk)
+            assert by_kernel == by_monk, (r, len(by_monk.terms))
+    assert flag_integrate(by_kernel) == 1
