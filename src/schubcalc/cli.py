@@ -293,7 +293,10 @@ def cmd_kappa(args):
     if not isinstance(space, HalvingSpaceDescriptor):
         raise ProblemSchemaError("the halving map needs a real, quaternionic, or octonionic space")
     cls = class_from_json(space, _load_json(args.cls, "the class"))
-    image = kappa(cls)
+    try:
+        image = kappa(cls)
+    except ValueError as exc:
+        raise ProblemSchemaError(str(exc)) from None
     report = _report(
         {"space": space_to_json(space), "class": class_to_json(cls)},
         class_to_json(image),

@@ -68,7 +68,7 @@ def divided_difference(i, p):
             while key and key[-1] == 0:
                 key = key[:-1]
             out[key] = out.get(key, 0) + sign * c
-    return SparsePolynomial(out)
+    return SparsePolynomial._make(None, out)
 
 
 def staircase_monomial(n):

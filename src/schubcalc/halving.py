@@ -30,14 +30,13 @@ from .errors import (
     NotADouble,
     NotADoubleIndex,
 )
-from .flag import FlagClass, FlagDescriptor, flag_integrate, flag_multiply
+from .flag import FlagClass, FlagDescriptor, flag_integrate
 from .grassmann import (
     GrassmannClass,
     GrassmannianDescriptor,
     chern_class,
     degeneracy_count,
     gr_integrate,
-    gr_multiply,
 )
 from .indexing import (
     fits_in_box,
@@ -45,9 +44,11 @@ from .indexing import (
     normalize_partition,
     normalize_perm,
     osp_block_sizes,
+    osp_double,
     osp_from_perm,
     osp_halve,
     osp_length,
+    partition_double,
     partition_halve,
     partition_size,
     perm_from_osp,
@@ -128,11 +129,17 @@ def _normalize_index(space, index):
 
     Real even / quaternionic spaces over a Grassmannian store partitions;
     over a flag they store OSPs (a permutation is accepted and converted).
-    The octonionic flag stores permutations of 1..3. Doubledness is not
-    checked here; the halving operations enforce it where required.
+    The octonionic flag stores permutations of 1..3 (an OSP of three
+    singleton blocks is accepted and converted). Doubledness is not checked
+    here; the halving operations enforce it where required.
     """
     fp = space.fixed_point
     if space.kind == OCTONIONIC:
+        if index and isinstance(index[0], tuple):
+            osp = normalize_osp(index)
+            if osp_block_sizes(osp) != (1, 1, 1):
+                raise ValueError(f"OSP {osp} is not a permutation of {space}")
+            index = perm_from_osp(osp)
         return perm_pad(normalize_perm(index), 3)
     if space.grassmannian_fixed_point:
         lam = normalize_partition(index)
@@ -159,24 +166,22 @@ def _index_dims(space):
     return dims
 
 
-def _halve_index(space, index):
-    """Halve a real doubled index; identity on quaternionic/octonionic ones."""
-    if space.kind != REAL_EVEN:
+def _halve(space, index):
+    """The complex key on the fixed point of a stored index.
+
+    Real even indices are halved (NotADoubleIndex if they are not doubles),
+    quaternionic ones kept; flag OSPs become their permutations, and an
+    octonionic permutation passes through unchanged.
+    """
+    if space.kind == REAL_EVEN:
+        halve = partition_halve if space.grassmannian_fixed_point else osp_halve
+        try:
+            index = halve(index)
+        except NotADouble as exc:
+            raise NotADoubleIndex(f"index {index} is not a doubled index") from exc
+    if space.grassmannian_fixed_point or space.kind == OCTONIONIC:
         return index
-    try:
-        if space.grassmannian_fixed_point:
-            return partition_halve(index)
-        return osp_halve(index)
-    except NotADouble as exc:
-        raise NotADoubleIndex(f"index {index} is not a doubled index") from exc
-
-
-def _complex_degree(space, halved):
-    if space.grassmannian_fixed_point:
-        return partition_size(halved)
-    if space.kind == OCTONIONIC:
-        return perm_length(halved)
-    return osp_length(halved)
+    return perm_from_osp(index)
 
 
 def _complex_ring(fp):
@@ -184,11 +189,6 @@ def _complex_ring(fp):
     if isinstance(fp, GrassmannianDescriptor):
         return GrassmannClass, gr_integrate
     return FlagClass, flag_integrate
-
-
-def _complex_basis(space, halved):
-    fp = space.fixed_point
-    return _complex_ring(fp)[0].basis(fp, halved)
 
 
 class HalvingClass(SparseCombination):
@@ -223,15 +223,6 @@ class HalvingClass(SparseCombination):
         return real_double_multiply(self, other)
 
 
-def _to_integer_class(acc_terms, make):
-    out = {}
-    for index, c in acc_terms.items():
-        if c.denominator != 1:
-            raise ValueError(f"coefficient {c} of {index} is not an integer")
-        out[index] = int(c)
-    return make(out)
-
-
 def kappa(a):
     """The halving map on classes.
 
@@ -245,15 +236,15 @@ def kappa(a):
         target = HalvingSpaceDescriptor.quaternionic_flag((1, 1, 1))
         return HalvingClass(target, dict(a.terms))
     fp = space.fixed_point
-    acc = {}
+    ring = _complex_ring(fp)[0]
+    terms = {}
     for index, c in a.terms.items():
-        half = _halve_index(space, index)
-        weight = 2 ** _complex_degree(space, half)
-        key = half if space.grassmannian_fixed_point else perm_from_osp(half)
-        acc[key] = acc.get(key, Fraction(0)) + c * weight
-    if space.grassmannian_fixed_point:
-        return _to_integer_class(acc, lambda t: GrassmannClass(fp, t))
-    return _to_integer_class(acc, lambda t: FlagClass(fp, t))
+        key = _halve(space, index)
+        c *= 2 ** ring._rank(key)
+        if c.denominator != 1:
+            raise ValueError(f"coefficient {c} of {key} is not an integer")
+        terms[key] = int(c)
+    return ring._make(fp, terms)
 
 
 def kappa_char_class(space, j, bundle=1):
@@ -277,37 +268,26 @@ def kappa_char_class(space, j, bundle=1):
 def real_double_multiply(a, b):
     """Product of real classes with doubled indices.
 
-    Halve both indices, multiply in the complex fixed-point ring, and double
-    the labels of the result. The structure constants are exactly the
-    complex ones: the 2-power weights of the halving map cancel because the
-    complex degree is additive across every surviving term.
+    Halve both classes, multiply once in the complex fixed-point ring, and
+    double the labels of the result. The structure constants are exactly
+    the complex ones: the 2-power weights of the halving map cancel because
+    the complex degree is additive across every surviving term.
     """
     a._check_space(b)
     space = a.space
     if space.kind != REAL_EVEN:
         raise ValueError(f"doubled-index product needs a real even space, not {space}")
-    from .indexing import osp_double, partition_double
-
-    acc = {}
-    for di, ca in a.terms.items():
-        i_half = _halve_index(space, di)
-        left = _complex_basis(space, i_half)
-        for dj, cb in b.terms.items():
-            j_half = _halve_index(space, dj)
-            prod = left * _complex_basis(space, j_half)
-            items = (
-                prod.terms.items()
-                if space.grassmannian_fixed_point
-                else prod.osp_terms().items()
-            )
-            for k_half, m in items:
-                dk = (
-                    partition_double(k_half)
-                    if space.grassmannian_fixed_point
-                    else osp_double(k_half)
-                )
-                acc[dk] = acc.get(dk, Fraction(0)) + ca * cb * m
-    return HalvingClass._make(space, acc)
+    fp = space.fixed_point
+    ring = _complex_ring(fp)[0]
+    left, right = (
+        ring._make(fp, {_halve(space, k): c for k, c in x.terms.items()}) for x in (a, b)
+    )
+    product = left * right
+    if space.grassmannian_fixed_point:
+        terms = {partition_double(k): c for k, c in product.terms.items()}
+    else:
+        terms = {osp_double(k): c for k, c in product.osp_terms().items()}
+    return HalvingClass._make(space, terms)
 
 
 @dataclass(frozen=True)
@@ -330,7 +310,7 @@ class SchubertProblem:
 def _multiply_conditions(space, conditions, count_mode, what="conditions"):
     """Multiply complex basis classes with multiplicities, degree checked first.
 
-    `conditions` are (complex index, count) pairs on the complex space of
+    `conditions` are (complex key, count) pairs on the complex space of
     `space` (itself, or its fixed point for a halving space). The total
     degree is checked before anything is multiplied: in count mode it must
     equal the dimension and the point-class coefficient is returned; in
@@ -363,6 +343,18 @@ def _multiply_conditions(space, conditions, count_mode, what="conditions"):
     return integrate(product) if count_mode else product
 
 
+def _halved(problem):
+    """The conditions of a halving problem as (complex key, count) pairs."""
+    space = problem.space
+    halved = []
+    for pos, (index, count) in enumerate(problem.conditions, start=1):
+        try:
+            halved.append((_halve(space, index), count))
+        except NotADoubleIndex as exc:
+            raise NotADoubleIndex(f"condition {pos}: {exc}") from None
+    return halved
+
+
 def real_lower_bound(problem):
     """Certified lower bound for the number of real solutions.
 
@@ -374,13 +366,7 @@ def real_lower_bound(problem):
     space = problem.space
     if space.kind != REAL_EVEN:
         raise ValueError(f"real lower bounds need a real even space, not {space}")
-    halved = []
-    for pos, (index, count) in enumerate(problem.conditions, start=1):
-        try:
-            halved.append((_halve_index(space, index), count))
-        except NotADoubleIndex as exc:
-            raise NotADoubleIndex(f"condition {pos}: {exc}") from None
-    return _multiply_conditions(space, halved, True, "halved conditions")
+    return _multiply_conditions(space, _halved(problem), True, "halved conditions")
 
 
 def quaternionic_count(problem):
@@ -393,7 +379,7 @@ def quaternionic_count(problem):
     space = problem.space
     if space.kind != QUATERNIONIC:
         raise ValueError(f"quaternionic counts need a quaternionic space, not {space}")
-    return _multiply_conditions(space, problem.conditions, True)
+    return _multiply_conditions(space, _halved(problem), True)
 
 
 def real_degeneracy_lower_bound(space, maps, corank=2):
@@ -453,9 +439,10 @@ def solve(parsed):
 
     Returns (value, provenance): the count or lower bound as an integer, or
     the product class in class mode. Complex conditions are multiplied in
-    their own ring; real even conditions are halved, quaternionic ones kept,
-    and octonionic ones moved to the quaternionic (1,1,1) carrier before
-    they reach it. Index errors raise BoxOverflow or ValueError.
+    their own ring; real even conditions are halved, and quaternionic and
+    octonionic ones kept, before they reach the fixed-point ring (the
+    octonionic flag's, through its quaternionic (1,1,1) carrier, is
+    Fl(C^3)). Index errors raise BoxOverflow or ValueError.
     """
     space = parsed.space
     if not isinstance(space, HalvingSpaceDescriptor):
@@ -472,6 +459,5 @@ def solve(parsed):
     elif space.kind == QUATERNIONIC:
         value = quaternionic_count(problem)
     else:
-        carrier = HalvingSpaceDescriptor.quaternionic_flag((1, 1, 1))
-        value = quaternionic_count(SchubertProblem(carrier, problem.conditions))
+        value = _multiply_conditions(space, _halved(problem), True)
     return value, _PROVENANCE[space.kind]

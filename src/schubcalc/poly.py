@@ -1,11 +1,16 @@
-"""Sparse multivariate polynomials with exact integer coefficients.
+"""Sparse multivariate polynomials with exact coefficients.
 
-A term maps an exponent tuple to a nonzero int.  Exponent tuples are
-stored with trailing zeros stripped, so a polynomial does not remember
+A term maps an exponent tuple to a nonzero coefficient.  Exponent tuples
+are stored with trailing zeros stripped, so a polynomial does not remember
 how many variables it was built with: x1*x2 is the same object coming
 from two variables or from ten.  Variables are 1-indexed to match the
-usual x1, x2, ... notation.
+usual x1, x2, ... notation.  The linear arithmetic is the shared
+`SparseCombination`'s, with no space.
 """
+
+from fractions import Fraction
+
+from .combination import SparseCombination
 
 
 def _strip(exps):
@@ -23,105 +28,26 @@ def _add_exps(a, b):
     )
 
 
-class SparsePolynomial:
-    __slots__ = ("terms",)
+class SparsePolynomial(SparseCombination):
+    """Immutable polynomial: a combination of monomials keyed by exponents."""
+
+    __slots__ = ()
+    _scalars = (int, Fraction)
+    _rank = staticmethod(sum)
 
     def __init__(self, terms=None):
         """Build from a mapping exponent-tuple -> coefficient; zeros dropped."""
-        clean = {}
-        if terms:
-            for exps, c in terms.items():
-                if c:
-                    key = _strip(exps)
-                    c2 = clean.get(key, 0) + c if key in clean else c
-                    if c2:
-                        clean[key] = c2
-                    else:
-                        clean.pop(key, None)
-        self.terms = clean
+        super().__init__(None, terms or {})
 
-    @classmethod
-    def zero(cls):
-        return cls()
+    @staticmethod
+    def _key(space, exps):
+        return _strip(tuple(exps))
 
-    @classmethod
-    def one(cls):
-        return cls({(): 1})
+    @staticmethod
+    def _unit_key(space):
+        return ()
 
-    @classmethod
-    def constant(cls, c):
-        return cls({(): c}) if c else cls()
-
-    @classmethod
-    def variable(cls, i):
-        if i < 1:
-            raise ValueError("variables are 1-indexed")
-        return cls({(0,) * (i - 1) + (1,): 1})
-
-    @classmethod
-    def monomial(cls, exps, coeff=1):
-        return cls({tuple(exps): coeff})
-
-    def is_zero(self):
-        return not self.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        if not isinstance(other, SparsePolynomial):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def nvars(self):
-        """Index of the last variable actually appearing."""
-        return max((len(e) for e in self.terms), default=0)
-
-    def total_degree(self):
-        return max((sum(e) for e in self.terms), default=0)
-
-    def coefficient(self, exps):
-        return self.terms.get(_strip(tuple(exps)), 0)
-
-    def __add__(self, other):
-        if isinstance(other, int):
-            other = SparsePolynomial.constant(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            c2 = out.get(e, 0) + c
-            if c2:
-                out[e] = c2
-            else:
-                out.pop(e, None)
-        p = SparsePolynomial.__new__(SparsePolynomial)
-        p.terms = out
-        return p
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        p = SparsePolynomial.__new__(SparsePolynomial)
-        p.terms = {e: -c for e, c in self.terms.items()}
-        return p
-
-    def __sub__(self, other):
-        if isinstance(other, int):
-            other = SparsePolynomial.constant(other)
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            if other == 0:
-                return SparsePolynomial()
-            p = SparsePolynomial.__new__(SparsePolynomial)
-            p.terms = {e: c * other for e, c in self.terms.items()}
-            return p
+    def _product(self, other):
         a, b = self.terms, other.terms
         if len(a) > len(b):
             a, b = b, a
@@ -130,30 +56,43 @@ class SparsePolynomial:
         for ea, ca in a.items():
             for eb, cb in b.items():
                 key = _add_exps(ea, eb)
-                c = get(key, 0) + ca * cb
-                if c:
-                    out[key] = c
-                else:
-                    out.pop(key, None)
-        p = SparsePolynomial.__new__(SparsePolynomial)
-        p.terms = out
-        return p
+                out[key] = get(key, 0) + ca * cb
+        return self._make(None, out)
 
-    __rmul__ = __mul__
+    def __add__(self, other):
+        if isinstance(other, int):
+            other = self.constant(other)
+        return super().__add__(other)
 
-    def __pow__(self, n):
-        if n < 0:
-            raise ValueError("negative powers are not defined here")
-        result = SparsePolynomial.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base_needed = n >> 1
-            if base_needed:
-                base = base * base
-            n = base_needed
-        return result
+    __radd__ = __add__
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    @classmethod
+    def one(cls):
+        return cls.unit()
+
+    @classmethod
+    def constant(cls, c):
+        return cls._make(None, {(): c})
+
+    @classmethod
+    def variable(cls, i):
+        if i < 1:
+            raise ValueError("variables are 1-indexed")
+        return cls._make(None, {(0,) * (i - 1) + (1,): 1})
+
+    @classmethod
+    def monomial(cls, exps, coeff=1):
+        return cls({tuple(exps): coeff})
+
+    def nvars(self):
+        """Index of the last variable actually appearing."""
+        return max((len(e) for e in self.terms), default=0)
+
+    def total_degree(self):
+        return max((sum(e) for e in self.terms), default=0)
 
     def swap_variables(self, i):
         """Apply the transposition of x_i and x_{i+1} (i is 1-indexed)."""
@@ -161,18 +100,12 @@ class SparsePolynomial:
         for e, c in self.terms.items():
             a = e[i - 1] if i - 1 < len(e) else 0
             b = e[i] if i < len(e) else 0
-            if a == b:
-                out[e] = out.get(e, 0) + c
-                continue
-            lst = list(e) + [0] * (i + 1 - len(e))
-            lst[i - 1], lst[i] = b, a
-            key = _strip(lst)
-            out[key] = out.get(key, 0) + c
-        return SparsePolynomial(out)
-
-    def sorted_terms(self):
-        """Terms ordered by total degree, then by exponent tuple."""
-        return sorted(self.terms.items(), key=lambda t: (sum(t[0]), t[0]))
+            if a != b:
+                lst = list(e) + [0] * (i + 1 - len(e))
+                lst[i - 1], lst[i] = b, a
+                e = _strip(lst)
+            out[e] = out.get(e, 0) + c
+        return self._make(None, out)
 
     def __repr__(self):
         if not self.terms:
@@ -191,5 +124,5 @@ class SparsePolynomial:
             elif c == -1:
                 bits.append("-" + mono)
             else:
-                bits.append("%d*%s" % (c, mono))
+                bits.append("%s*%s" % (c, mono))
         return " + ".join(bits).replace("+ -", "- ")

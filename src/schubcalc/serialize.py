@@ -174,7 +174,6 @@ class ParsedProblem:
     mode: str
     conditions: tuple
     degeneracy: object
-    description: str
 
 
 _DEFAULT_MODES = {
@@ -270,13 +269,13 @@ def parse_problem(obj, mode_override=None):
         "corank and index conditions cannot be mixed in one problem",
     )
 
-    description = obj.get("description", "")
-    _require(isinstance(description, str), "'description' must be a string")
+    _require(
+        isinstance(obj.get("description", ""), str), "'description' must be a string"
+    )
     return ParsedProblem(
         raw=obj,
         space=space,
         mode=mode,
         conditions=tuple(conditions),
         degeneracy=degeneracy,
-        description=description,
     )

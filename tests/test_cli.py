@@ -161,11 +161,16 @@ def test_solve_skips_work_the_degree_rules_out(capsys, tmp_path):
 
 
 def test_solve_octonionic_short_permutation(capsys, tmp_path):
-    # [2, 1] is the permutation [2, 1, 3] of the three letters.
-    payload = problem(OCT, [{"index": [2, 1], "count": 2}, {"index": [1, 3, 2]}])
-    code, out, err = solve_json(capsys, tmp_path, payload)
-    assert code == 0, err
-    assert json.loads(out)["result"] == 1
+    # [2, 1] is the permutation [2, 1, 3] of the three letters, and so is the
+    # set partition [[2], [1], [3]]; [[1, 2], [3]] is no permutation.
+    for s1, s2 in (([2, 1], [1, 3, 2]), ([[2], [1], [3]], [[1], [3], [2]])):
+        payload = problem(OCT, [{"index": s1, "count": 2}, {"index": s2}])
+        code, out, err = solve_json(capsys, tmp_path, payload)
+        assert code == 0, err
+        assert json.loads(out)["result"] == 1
+    code, _, err = solve_json(capsys, tmp_path, problem(OCT, [{"index": [[1, 2], [3]]}]))
+    assert code == 2
+    assert "error:" in err
 
 
 def test_solve_divisor_volume_in_either_order(capsys, tmp_path):
@@ -353,13 +358,24 @@ def test_kappa_not_doubled_exits_three(capsys):
 
 
 def test_kappa_octonionic_lands_on_quaternionic_carrier(capsys):
-    code, out, _ = run_cli(
-        capsys, ["kappa", "--space", json.dumps(OCT), "[2,1,3]"]
-    )
-    assert code == 0
-    report = json.loads(out)
-    assert report["result"]["space"] == {"type": "quaternionic_flag", "dims": [1, 1, 1]}
-    assert report["result"]["terms"] == [{"osp": [[2], [1], [3]], "coeff": "1"}]
+    for cls in ("[2,1,3]", "[[2],[1],[3]]"):
+        code, out, err = run_cli(capsys, ["kappa", "--space", json.dumps(OCT), cls])
+        assert code == 0, err
+        report = json.loads(out)
+        assert report["result"]["space"] == {"type": "quaternionic_flag", "dims": [1, 1, 1]}
+        assert report["result"]["terms"] == [{"osp": [[2], [1], [3]], "coeff": "1"}]
+    code, _, err = run_cli(capsys, ["kappa", "--space", json.dumps(OCT), "[[1,2],[3]]"])
+    assert code == 2
+    assert "error:" in err
+
+
+def test_kappa_non_integral_image_exits_two(capsys):
+    cls = json.dumps({"terms": [{"partition": [2, 2], "coeff": "1/4"}]})
+    space = json.dumps({"type": "real_even_grassmannian", "k": 2, "n": 4})
+    code, out, err = run_cli(capsys, ["kappa", "--space", space, cls])
+    assert code == 2
+    assert out == ""
+    assert "error:" in err and "not an integer" in err
 
 
 def test_selftest_quick_passes(capsys):

@@ -1,4 +1,4 @@
-"""The linear arithmetic all four class types share, and their key checks."""
+"""The linear arithmetic all five class types share, and their key checks."""
 
 from collections import namedtuple
 
@@ -9,6 +9,7 @@ from schubcalc.flag import FlagClass, FlagDescriptor
 from schubcalc.grassmann import GrassmannClass, GrassmannianDescriptor
 from schubcalc.halving import HalvingClass, HalvingSpaceDescriptor
 from schubcalc.indexing import osp_double, osp_from_perm
+from schubcalc.poly import SparsePolynomial
 from schubcalc.schur import SchurExpansion
 
 # basis(key) builds a basis class; other is a class on another space (None
@@ -82,7 +83,21 @@ def schur():
     )
 
 
-@pytest.mark.parametrize("make", [grassmann, flag, halving, schur])
+def polynomial():
+    return Case(
+        basis=SparsePolynomial.monomial,
+        zero=SparsePolynomial.zero(),
+        unit=SparsePolynomial.one(),
+        a=(1,),
+        b=(0, 2),
+        other=None,
+        rebuild=lambda x: SparsePolynomial(x.terms),
+        bad=lambda: SparsePolynomial.variable(0),
+        error=ValueError,
+    )
+
+
+@pytest.mark.parametrize("make", [grassmann, flag, halving, schur, polynomial])
 def test_shared_arithmetic(make):
     case = make()
     a, b = case.basis(case.a), case.basis(case.b)

@@ -33,6 +33,10 @@ FL222R6 = HalvingSpaceDescriptor.real_even_flag((2, 2, 2))
 OCT = HalvingSpaceDescriptor.octonionic_flag()
 
 
+def doubled(w):
+    return osp_double(osp_from_perm(w, (1, 1, 1)))
+
+
 def test_descriptor_constructors():
     assert GR4R8.fixed_point == GrassmannianDescriptor(2, 4)
     assert GR8R16.fixed_point == GrassmannianDescriptor(4, 8)
@@ -98,6 +102,40 @@ def test_real_double_multiply_examples():
     assert real_double_multiply(unit, d1) == d1
     box = HalvingClass.basis(GR4R8, partition_double((2, 2)))
     assert real_double_multiply(box, d1).is_zero()
+
+
+def _multi_term(space, keys):
+    weights = (Fraction(1, 2), Fraction(-2, 3), 3, Fraction(5, 7))
+    return HalvingClass(space, dict(zip(keys, weights)))
+
+
+@pytest.mark.parametrize(
+    "space,left,right",
+    [
+        (
+            GR4R8,
+            [partition_double(lam) for lam in [(), (1,), (2, 1)]],
+            [partition_double(lam) for lam in [(1,), (2,), (1, 1)]],
+        ),
+        (
+            FL222R6,
+            [doubled((2, 1, 3)), doubled((1, 3, 2)), doubled((1, 2, 3))],
+            [doubled((2, 3, 1)), doubled((3, 1, 2)), doubled((2, 1, 3))],
+        ),
+    ],
+)
+def test_real_double_multiply_is_bilinear(space, left, right):
+    a, b = _multi_term(space, left), _multi_term(space, right)
+    pairs = HalvingClass.zero(space)
+    for ka, ca in a.terms.items():
+        for kb, cb in b.terms.items():
+            pairs += (ca * cb) * real_double_multiply(
+                HalvingClass.basis(space, ka), HalvingClass.basis(space, kb)
+            )
+    whole = real_double_multiply(a, b)
+    assert whole == pairs
+    assert whole == real_double_multiply(b, a)
+    assert any(c.denominator != 1 for c in whole.terms.values())
 
 
 def test_kappa_is_ring_homomorphism_grassmann():

@@ -1,5 +1,7 @@
 """SparsePolynomial arithmetic."""
 
+from fractions import Fraction
+
 from hypothesis import given, strategies as st
 
 from schubcalc.poly import SparsePolynomial
@@ -60,6 +62,7 @@ def test_degree_and_repr():
     p = x(1) * x(2) ** 2 + 1
     assert p.total_degree() == 3
     assert "x1" in repr(p)
+    assert repr(Fraction(1, 2) * x(1) - 3 * x(2) ** 2) == "1/2*x1 - 3*x2^2"
 
 
 @given(poly_strategy(), poly_strategy(), poly_strategy())

@@ -69,7 +69,8 @@ def fitting_index(draw, sp):
             lam = [2 * p for p in lam for _ in range(2)]
         return lam
     if kind == "octonionic_flag":
-        return draw(st.permutations([1, 2, 3]))
+        w = draw(st.permutations([1, 2, 3]))
+        return w if draw(st.booleans()) else [[x] for x in w]
     halve = 2 if kind == "real_even_flag" else 1
     dims = [d // halve for d in sp["dims"]]
     w = draw(st.permutations(list(range(1, sum(dims) + 1))))
