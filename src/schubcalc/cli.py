@@ -23,10 +23,8 @@ from .flag import FlagClass, FlagDescriptor
 from .grassmann import (
     GrassmannClass,
     GrassmannianDescriptor,
-    degeneracy_count,
+    degeneracy_count_and_locus,
     giambelli,
-    tautological_chern_difference,
-    thom_porteous,
 )
 from .halving import (
     REAL_EVEN,
@@ -270,9 +268,7 @@ def cmd_porteous(args):
         raise ProblemSchemaError("rank-drop counts need a complex Grassmannian")
     e, f, rho, m = args.e, args.f, args.rho, args.maps
     try:
-        value = degeneracy_count(space, e, f, rho, m)
-        series = tautological_chern_difference(space, max(0, e + f - 2 * rho - 1))
-        locus = thom_porteous(e, f, rho, series)
+        value, locus = degeneracy_count_and_locus(space, e, f, rho, m)
     except ValueError as exc:
         raise ProblemSchemaError(str(exc)) from None
     report = {

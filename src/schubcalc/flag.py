@@ -88,8 +88,7 @@ class SchubertPolynomial:
         return perm_length(self.perm)
 
 
-# Filled lazily; entries are complete before being published, and dict
-# assignment is atomic, so concurrent readers never see a partial value.
+# Filled lazily, one table per process; oracle_cache_clear empties it.
 _schubert_table = {}
 
 

@@ -139,20 +139,14 @@ def giambelli(lam, space):
     if not fits_in_box(lam, space.k, space.l):
         raise BoxOverflow(f"partition {lam} does not fit on {space}")
     d = len(lam)
-    if d == 0:
-        return GrassmannClass.unit(space)
-    unit = GrassmannClass.unit(space)
+    rows = [chern_class("quot", p, space) for p in range(space.l + 1)]
     zero = GrassmannClass.zero(space)
 
     def entry(p):
-        if p == 0:
-            return unit
-        if p < 0 or p > space.l:
-            return zero
-        return GrassmannClass.basis(space, (p,))
+        return rows[p] if 0 <= p <= space.l else zero
 
     mat = [[entry(lam[i] - i + j) for j in range(d)] for i in range(d)]
-    return ring_determinant(mat, unit)
+    return ring_determinant(mat, rows[0])
 
 
 def thom_porteous(e, f, rho, c):
@@ -171,8 +165,6 @@ def thom_porteous(e, f, rho, c):
     if rho < 0 or rho > min(e, f):
         raise ValueError(f"need 0 <= rho <= min(e, f), got rho={rho}")
     d = e - rho
-    if d == 0:
-        return GrassmannClass.unit(space)
     zero = GrassmannClass.zero(space)
 
     def entry(deg):
@@ -184,37 +176,26 @@ def thom_porteous(e, f, rho, c):
             )
         return c[deg]
 
-    mat = [
-        [entry(f - rho + (j + 1) - (i + 1)) for j in range(d)] for i in range(d)
-    ]
+    mat = [[entry(f - rho + j - i) for j in range(d)] for i in range(d)]
     return ring_determinant(mat, GrassmannClass.unit(space))
 
 
 def tautological_chern_difference(space, max_degree):
     """Chern series of the virtual bundle Q - S, degrees 0..max_degree.
 
-    c(Q - S) = c(Q) * c(S)^{-1}; the inverse is the usual recursive series
-    1 / (1 + u) = 1 - u + u^2 - ... truncated by degree.
+    The Whitney sum c(S) c(Q) = 1 makes c(S)^{-1} = c(Q), so
+    c(Q - S) = c(Q)^2: the degree-d piece is the sum of sigma_i sigma_{d-i}
+    over the row classes sigma_i = c_i(Q).
     """
-    k, l = space.k, space.l
-    zero = GrassmannClass.zero(space)
-    cq = [chern_class("quot", i, space) if i <= l else zero
-          for i in range(max_degree + 1)]
-    cs = [chern_class("sub", i, space) if i <= k else zero
-          for i in range(max_degree + 1)]
-    inv = [GrassmannClass.unit(space)]
-    for d in range(1, max_degree + 1):
-        acc = zero
-        for j in range(1, min(d, k) + 1):
-            acc = acc + gr_multiply(cs[j], inv[d - j])
-        inv.append(-acc)
-    out = []
-    for d in range(max_degree + 1):
-        acc = zero
-        for i in range(0, min(d, l) + 1):
-            acc = acc + gr_multiply(cq[i], inv[d - i])
-        out.append(acc)
-    return out
+    l = space.l
+    rows = [chern_class("quot", i, space) for i in range(l + 1)]
+    return [
+        sum(
+            (rows[i] * rows[d - i] for i in range(max(0, d - l), min(d, l) + 1)),
+            GrassmannClass.zero(space),
+        )
+        for d in range(max_degree + 1)
+    ]
 
 
 def degeneracy_count(space, e, f, rho, m):
@@ -226,19 +207,25 @@ def degeneracy_count(space, e, f, rho, m):
     the unit applies; otherwise m times the locus codimension must exhaust
     the dimension exactly.
     """
+    return degeneracy_count_and_locus(space, e, f, rho, m)[0]
+
+
+def degeneracy_count_and_locus(space, e, f, rho, m):
+    """`degeneracy_count` and the locus class it integrates; at codimension
+    0 the matrix is unitriangular, so the locus is the unit, unexpanded."""
     if rho < 0 or rho > min(e, f):
         raise ValueError(f"need 0 <= rho <= min(e, f), got rho={rho}")
     if m < 0:
         raise ValueError(f"need a nonnegative number of maps, got {m}")
     codim = (e - rho) * (f - rho)
     if codim == 0:
-        return gr_integrate(GrassmannClass.unit(space))
+        unit = GrassmannClass.unit(space)
+        return gr_integrate(unit), unit
     if m * codim != space.complex_dimension:
         raise DimensionMismatch(
             f"{m} conditions of codimension {codim} do not fill "
             f"dim {space.complex_dimension} of {space}"
         )
-    needed = f - rho + (e - rho) - 1
-    series = tautological_chern_difference(space, needed)
+    series = tautological_chern_difference(space, e + f - 2 * rho - 1)
     locus = thom_porteous(e, f, rho, series)
-    return gr_integrate(locus ** m)
+    return gr_integrate(locus ** m), locus

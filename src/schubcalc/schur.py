@@ -327,33 +327,41 @@ def pieri(lam, p, kind="row"):
 
 
 def ring_determinant(mat, one):
-    """Determinant by column-choice search, pruning zero entries.
+    """Determinant by row-by-row expansion, one signed minor per set of
+    used columns (a bit mask), so paths that fill the same columns merge:
+    at most 2^n minors instead of n! products.  Zero entries, zero minors
+    and column sets that miss a column no later row can fill are dropped,
+    which keeps near-triangular matrices to few states.
 
     Entries must support +, unary -, * and truthiness.  `one` is the
     multiplicative unit, returned for the empty matrix.
     """
     n = len(mat)
-    if n == 0:
-        return one
-    result = None
-
-    def rec(r, used, acc, sign):
-        nonlocal result
-        if r == n:
-            term = acc if sign > 0 else -acc
-            result = term if result is None else result + term
-            return
-        for c in range(n):
-            if used >> c & 1:
-                continue
-            e = mat[r][c]
-            if not e:
-                continue
-            flips = bin(used >> (c + 1)).count("1")
-            rec(r + 1, used | (1 << c), acc * e, sign * (-1) ** flips)
-
-    rec(0, 0, one, 1)
-    return result if result is not None else one - one
+    nonzero = [[(c, 1 << c, e) for c, e in enumerate(row) if e] for row in mat]
+    last = {c: r for r, entries in enumerate(nonzero) for c, _, _ in entries}
+    closes = [0] * n  # closes[r]: the columns no row after r can fill
+    for c in range(n):
+        closes[last.get(c, 0)] |= 1 << c
+    minors = {0: one}
+    required = 0  # columns that every surviving set must already contain
+    for r, entries in enumerate(nonzero):
+        required |= closes[r]
+        grown = {}
+        for used, minor in minors.items():
+            for c, bit, e in entries:
+                if used & bit:
+                    continue
+                term = minor * e
+                if bin(used >> (c + 1)).count("1") & 1:
+                    term = -term
+                key = used | bit
+                grown[key] = grown[key] + term if key in grown else term
+        minors = {
+            used: m for used, m in grown.items() if m and required & ~used == 0
+        }
+        if not minors:
+            return one - one
+    return minors[(1 << n) - 1]
 
 
 def jacobi_trudi(lam):

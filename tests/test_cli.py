@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import schubcalc
+import schubcalc.grassmann
 import schubcalc.halving
 import schubcalc.schur
 from schubcalc.cli import main
@@ -313,6 +314,15 @@ def test_giambelli_command(capsys):
     )
     assert code == 0
     assert json.loads(out)["result"]["terms"] == [{"partition": [2, 1], "coeff": "1"}]
+    # a 1100 x 1100 determinant must not need 1100 levels of recursion
+    column = [1] * 1100
+    code, out, err = run_cli(
+        capsys,
+        ["giambelli", "--space", json.dumps({"type": "complex_grassmannian", "k": 1100, "n": 1101}),
+         json.dumps(column)],
+    )
+    assert code == 0, err
+    assert json.loads(out)["result"]["terms"] == [{"partition": column, "coeff": "1"}]
 
 
 def test_porteous_command(capsys):
@@ -323,6 +333,31 @@ def test_porteous_command(capsys):
     report = json.loads(out)
     assert report["result"] == 32
     assert report["locus_class"]["terms"] == [{"partition": [1], "coeff": "2"}]
+    # codimension 0 with e = 3000: the locus is the unit, no determinant
+    code, out, err = run_cli(
+        capsys, ["porteous", "--space", json.dumps(GR24), "3000", "0", "0", "1"]
+    )
+    assert code == 0, err
+    report = json.loads(out)
+    assert report["result"] == 0
+    assert report["locus_class"]["terms"] == [{"partition": [], "coeff": "1"}]
+
+
+def test_porteous_evaluates_at_most_one_determinant(monkeypatch, capsys):
+    calls = []
+    real = schubcalc.grassmann.ring_determinant
+
+    def counted(mat, one):
+        calls.append(len(mat))
+        return real(mat, one)
+
+    monkeypatch.setattr(schubcalc.grassmann, "ring_determinant", counted)
+    for args, expected in ((["2", "2", "1", "4"], [1]), (["3", "1", "1", "7"], []),
+                           (["1", "4", "1", "0"], [])):
+        calls.clear()
+        code, _, err = run_cli(capsys, ["porteous", "--space", json.dumps(GR24), *args])
+        assert code == 0, err
+        assert calls == expected, args
 
 
 def test_porteous_rejects_bad_rank(capsys):

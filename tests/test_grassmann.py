@@ -5,6 +5,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import schubcalc.grassmann as grassmann_module
+from det_oracle import oracle_determinant
 from schubcalc.errors import (
     BoxOverflow,
     DegreeOutOfRange,
@@ -25,10 +27,12 @@ from schubcalc.grassmann import (
     thom_porteous,
 )
 from schubcalc.indexing import partition_size, partitions_in_box
+from schubcalc.schur import ring_determinant
 
 GR24 = GrassmannianDescriptor(2, 4)
 GR25 = GrassmannianDescriptor(2, 5)
 GR36 = GrassmannianDescriptor(3, 6)
+GR48 = GrassmannianDescriptor(4, 8)
 
 
 def basis(space, *parts):
@@ -168,19 +172,38 @@ def test_chern_difference_series():
     series = tautological_chern_difference(GR24, 4)
     assert series[0] == GrassmannClass.unit(GR24)
     assert series[1] == 2 * basis(GR24, 1)
-    total_s = GrassmannClass.unit(GR24) + chern_class("sub", 1, GR24) + chern_class("sub", 2, GR24)
-    for d in range(5):
-        acc = GrassmannClass.zero(GR24)
-        for i in range(d + 1):
-            if i <= 2:
-                acc = acc + chern_class("quot", 0, GR24) * 0
-        # c(Q - S) * c(S) must reproduce c(Q) degree by degree
-        conv = GrassmannClass.zero(GR24)
-        for i in range(d + 1):
-            if d - i <= 2:
-                conv = conv + series[i] * chern_class("sub", d - i, GR24)
-        expect = chern_class("quot", d, GR24) if d <= 2 else GrassmannClass.zero(GR24)
-        assert conv == expect, d
+    for space in (GR24, GR25, GR36):
+        top = 2 * space.l + 1
+        series = tautological_chern_difference(space, top)
+        assert len(series) == top + 1
+        for d in range(top + 1):
+            # c(Q - S) * c(S) must reproduce c(Q) degree by degree
+            conv = GrassmannClass.zero(space)
+            for i in range(max(0, d - space.k), d + 1):
+                conv = conv + series[i] * chern_class("sub", d - i, space)
+            expect = chern_class("quot", d, space) if d <= space.l else GrassmannClass.zero(space)
+            assert conv == expect, (space, d)
+
+
+def test_determinants_match_column_choice_oracle(monkeypatch):
+    sizes = []
+
+    def checked(mat, one):
+        got = ring_determinant(mat, one)
+        assert got == oracle_determinant(mat, one)
+        sizes.append(len(mat))
+        return got
+
+    monkeypatch.setattr(grassmann_module, "ring_determinant", checked)
+    for space in (GR36, GR48):
+        for lam in partitions_in_box(space.k, space.l):
+            assert giambelli(lam, space) == GrassmannClass.basis(space, lam)
+        series = tautological_chern_difference(space, 11)
+        for e in range(7):
+            for f in range(7):
+                for rho in range(min(e, f) + 1):
+                    thom_porteous(e, f, rho, series)
+    assert max(sizes) == 6
 
 
 def test_degeneracy_count():

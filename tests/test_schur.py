@@ -3,10 +3,12 @@
 import importlib
 import itertools
 import pkgutil
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from det_oracle import oracle_determinant
 from schubcalc.indexing import (
     partition_conjugate,
     partition_size,
@@ -219,29 +221,50 @@ def test_expansion_ring_basics():
     assert (s(1) ** 3).coefficient((2, 1)) == 2
 
 
+class Z:
+    """Bare integers with just the ring operations a determinant uses."""
+
+    def __init__(self, v):
+        self.v = v
+
+    def __add__(self, o):
+        return Z(self.v + o.v)
+
+    def __neg__(self):
+        return Z(-self.v)
+
+    def __mul__(self, o):
+        return Z(self.v * o.v)
+
+    def __sub__(self, o):
+        return Z(self.v - o.v)
+
+    def __bool__(self):
+        return self.v != 0
+
+
 def test_ring_determinant_on_integers():
-    class Z:
-        def __init__(self, v):
-            self.v = v
-
-        def __add__(self, o):
-            return Z(self.v + o.v)
-
-        def __neg__(self):
-            return Z(-self.v)
-
-        def __mul__(self, o):
-            return Z(self.v * o.v)
-
-        def __sub__(self, o):
-            return Z(self.v - o.v)
-
-        def __bool__(self):
-            return self.v != 0
-
     mat = [[Z(2), Z(1), Z(0)], [Z(1), Z(3), Z(1)], [Z(0), Z(1), Z(4)]]
     assert ring_determinant(mat, Z(1)).v == 2 * (3 * 4 - 1) - (4 - 0)
     assert ring_determinant([], Z(1)).v == 1
+
+
+def test_ring_determinant_matches_column_choice_oracle():
+    rng = random.Random(11)
+    for trial in range(400):
+        n = rng.randint(1, 7)
+        density = rng.choice([0.2, 0.5, 0.9])
+        rows = [
+            [rng.randint(-3, 3) if rng.random() < density else 0 for _ in range(n)]
+            for _ in range(n)
+        ]
+        if trial % 10 == 0:
+            rows[rng.randrange(n)] = [0] * n
+        if trial % 10 == 5:
+            for row in rows:
+                row[n - 1 - trial % n] = 0
+        mat = [[Z(v) for v in row] for row in rows]
+        assert ring_determinant(mat, Z(1)).v == oracle_determinant(mat, Z(1)).v, rows
 
 
 def test_oracle_cache_clear_empties_every_kernel_cache():
