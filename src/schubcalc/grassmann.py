@@ -68,10 +68,6 @@ class GrassmannClass(SparseCombination):
     def _product(self, other):
         return gr_multiply(self, other)
 
-    def is_homogeneous(self):
-        sizes = {partition_size(l) for l in self.terms}
-        return len(sizes) <= 1
-
 
 def gr_multiply(a, b):
     """Product in H*(Gr_k(C^n)): LR expansion truncated to the box."""

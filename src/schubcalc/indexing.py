@@ -30,10 +30,12 @@ def partition_size(lam):
 
 
 def partition_conjugate(lam):
-    """Transpose of the Young diagram."""
-    if not lam:
-        return ()
-    return tuple(sum(1 for p in lam if p > j) for j in range(lam[0]))
+    """Transpose of the Young diagram, in time linear in its rows and columns."""
+    cols = []
+    # from the bottom row up: the columns this row adds have its height
+    for i in range(len(lam) - 1, -1, -1):
+        cols.extend([i + 1] * (lam[i] - len(cols)))
+    return tuple(cols)
 
 
 def partition_contains(outer, inner):

@@ -1,31 +1,28 @@
 """Schur expansions and Littlewood-Richardson arithmetic.
 
-Two kernels compute Littlewood-Richardson numbers, each suited to one job.
+One kernel computes Littlewood-Richardson numbers: the strip pass.
+Starting from lam, the letters of mu are added one at a time, each as a
+horizontal strip under a cap on every row.  The lattice condition is
+checked row by row as a strip is placed: through each row, letter i+1
+occurs at most as often as letter i does in the rows above.  Partial
+tableaux with the same shape and the same last strip are merged, so the
+work follows the distinct shapes inside the caps rather than the tableaux
+(Fulton, Young Tableaux, ch. 5; the scheme of Buch's lrcalc).
 
 Products (expand_basis_product, behind schur_multiply and Grassmannian
-multiplication) take one pass that yields every nu at once.  Starting
-from lam, the letters of mu (the factor with the smaller content) are
-added one at a time, each as a horizontal strip that stays inside the
-box.  The lattice condition is checked row by row as a strip is placed:
-through each row, letter i+1 occurs at most as often as letter i does in
-the rows above.  Partial tableaux with the same shape and the same last
-strip are merged, so the work follows the distinct shapes rather than
-the tableaux (Fulton, Young Tableaux, ch. 5; the scheme of Buch's lrcalc).
+multiplication) cap every row at the box, or at lam_1 + mu_1, and yield
+every nu at once; the letters come from the factor with the smaller
+content.  A single coefficient (lr_coefficient) caps row r at nu_r, so
+only shapes inside nu are visited, and drops a shape whose row i is still
+short of nu_i once letter i is placed; by c(lam, mu; nu) = c(mu, lam; nu)
+= c(lam', mu'; nu') the letters come from the factor with the fewest rows.
 
-A single coefficient (lr_coefficient) counts skew tableaux of shape
-nu/lam and content mu box by box, filled in the order of the reverse
-reading word (each row right to left, rows top to bottom), so every
-constraint is checked the moment a value is placed: rows stay weakly
-increasing, columns strictly increasing, the content never exceeds mu,
-and every prefix of the reading word has at least as many i's as
-(i+1)'s.  For one nu this is far cheaper than a strip pass.
-
-The former product route, one lr_coefficient search per candidate nu, is
-kept in tests/lr_oracle.py as the oracle for the strip pass.  The
-independent reference for both is oracle_schur_polynomial: the actual
-Schur polynomial in n variables, built by enumerating semistandard
-tableaux as chains of horizontal strips and aggregating monomials by
-weight.  It shares no code with either kernel.
+The former kernels, a per-box tableau count and one such count per
+candidate nu, are kept in tests/lr_oracle.py as oracles for the strip
+pass.  The independent reference for all of them is
+oracle_schur_polynomial: the actual Schur polynomial in n variables,
+built by enumerating semistandard tableaux as chains of horizontal strips
+and aggregating monomials by weight.  It shares no code with any kernel.
 """
 
 from functools import lru_cache
@@ -34,6 +31,7 @@ from .combination import SparseCombination
 from .flag import _schubert_table
 from .indexing import (
     normalize_partition,
+    partition_conjugate,
     partition_contains,
     partition_size,
 )
@@ -53,100 +51,47 @@ def lr_coefficient(lam, mu, nu):
         return 0
     if not partition_contains(nu, lam) or not partition_contains(nu, mu):
         return 0
-    if not mu:
+    if not lam or not mu:
         return 1
-    return _lr_count(lam, mu, nu)
+    # c(lam, mu; nu) = c(mu, lam; nu) = c(lam', mu'; nu'), and the pass adds
+    # one letter per row of mu: take the letters from the factor with fewest rows
+    if min(lam[0], mu[0]) < min(len(lam), len(mu)):
+        lam, mu, nu = (partition_conjugate(p) for p in (lam, mu, nu))
+    if len(mu) > len(lam):
+        lam, mu = mu, lam
+    return _strip_pass(lam, mu, nu, True).get(nu, 0)
 
 
-@lru_cache(maxsize=None)
-def _lr_count(lam, mu, nu):
-    """Count LR tableaux of shape nu/lam and content mu, one box at a time.
-
-    Backtracking runs on an explicit stack, so a skew shape of thousands
-    of boxes needs no recursion depth.
-    """
-    nrows = len(nu)
-    lamp = lam + (0,) * (nrows - len(lam))
-    cells = []
-    for r in range(nrows):
-        for c in range(nu[r] - 1, lamp[r] - 1, -1):
-            cells.append((r, c))
-    # neighbours filled before each box: the value to its right bounds it
-    # from above, the value over it from below (-1 where there is none)
-    position = {cell: i for i, cell in enumerate(cells)}
-    right = [position.get((r, c + 1), -1) for r, c in cells]
-    above = [position.get((r - 1, c), -1) for r, c in cells]
-    nvals = len(mu)
-    last = len(cells) - 1
-    counts = [0] * nvals
-    # the lattice condition keeps counts weakly decreasing, so the letters
-    # in use are 1..used and no box can take a letter above used + 1
-    used = 0
-    vals = [0] * len(cells)  # value in each box; while searching, the last one tried
-    tops = [0] * len(cells)
-    tops[0] = nvals
-    total = 0
-    i = 0
-    while True:
-        v = vals[i] + 1
-        hi = tops[i]
-        if hi > used:
-            hi = used + 1
-        while v <= hi:
-            iv = v - 1
-            if counts[iv] < mu[iv] and (v == 1 or counts[iv - 1] > counts[iv]):
-                break
-            v += 1
-        if v > hi:
-            i -= 1
-            if i < 0:
-                return total
-            iv = vals[i] - 1
-            counts[iv] -= 1
-            if not counts[iv]:
-                used -= 1
-            continue
-        vals[i] = v
-        if i == last:
-            total += 1
-            continue
-        if not counts[v - 1]:
-            used += 1
-        counts[v - 1] += 1
-        i += 1
-        j = above[i]
-        vals[i] = vals[j] if j >= 0 else 0
-        j = right[i]
-        tops[i] = vals[j] if j >= 0 else nvals
-
-
-def _strips(shape, prev, size, width, nrows):
+def _strips(shape, prev, size, caps):
     """Horizontal strips of `size` boxes that can be added to `shape`.
 
-    Each strip is a tuple of (row, boxes) pairs, rows increasing.  No row
-    passes `width`, row `nrows`, or the old row above it.  When `prev`
-    (the previous letter's strip) is given, the new letter keeps the
-    lattice condition: through each row it occurs at most as often as the
-    previous letter does in the rows above.
+    Each strip is a tuple of (row, boxes) pairs, rows increasing.  Row r
+    may hold at most caps[r] boxes and never passes the old row above it;
+    no strip reaches row len(caps).  When `prev` (the previous letter's
+    strip) is given, the new letter keeps the lattice condition: through
+    each row it occurs at most as often as the previous letter does in the
+    rows above.
     """
-    rows, caps, limit = [], [], []
-    above, k = width, 0
+    rows, room, limit = [], [], []
+    above, k = caps[0], 0
     # seen: the previous letter's boxes in the rows above row r
     seen = size if prev is None else 0
     prev = prev or ()
-    for r in range(min(len(shape) + 1, nrows)):
+    for r in range(min(len(shape) + 1, len(caps))):
         here = shape[r] if r < len(shape) else 0
         while k < len(prev) and prev[k][0] < r:
             seen += prev[k][1]
             k += 1
+        if above > caps[r]:
+            above = caps[r]
         if above > here and seen:
             rows.append(r)
-            caps.append(min(above - here, seen))
+            room.append(min(above - here, seen))
             limit.append(seen)
         above = here
     tail = [0] * (len(rows) + 1)
     for j in range(len(rows) - 1, -1, -1):
-        tail[j] = tail[j + 1] + caps[j]
+        tail[j] = tail[j + 1] + room[j]
     if tail[0] < size:
         return []
     out = []
@@ -157,7 +102,7 @@ def _strips(shape, prev, size, width, nrows):
             out.append(adds)
             continue
         left = size - used
-        hi = min(caps[j], left, limit[j] - used)
+        hi = min(room[j], left, limit[j] - used)
         lo = max(0, left - tail[j + 1])
         if lo == 0:
             stack.append((j + 1, used, adds))
@@ -168,17 +113,45 @@ def _strips(shape, prev, size, width, nrows):
     return out
 
 
+def _strip_pass(lam, mu, caps, fill):
+    """{nu: c_{lam,mu}^nu} for every nu with at most caps[r] boxes in row r;
+    with `fill`, only nu = caps is wanted.
+
+    Starting from lam, the letters of mu are added one at a time, each as
+    a horizontal strip that keeps the lattice condition, and partial
+    tableaux that reach the same shape with the same last strip are merged
+    with their multiplicities added.
+    """
+    layer = {(lam, None): 1}
+    for i, size in enumerate(mu):
+        keep = i + 1 < len(mu)
+        nxt = {}
+        for (shape, prev), mult in layer.items():
+            for strip in _strips(shape, prev, size, caps):
+                new = list(shape)
+                for r, a in strip:
+                    if r < len(new):
+                        new[r] += a
+                    else:
+                        new.append(a)
+                # letter i lands in row i or below and the lattice condition
+                # keeps later letters below row i, so row i is now final
+                if fill and new[i] != caps[i]:
+                    continue
+                key = (tuple(new), strip if keep else None)
+                nxt[key] = nxt.get(key, 0) + mult
+        layer = nxt
+    return {nu: c for (nu, _), c in layer.items()}
+
+
 @lru_cache(maxsize=None)
 def expand_basis_product(lam, mu, rows=None, cols=None):
     """s_lam * s_mu as a tuple of (nu, coefficient) pairs, nu in decreasing
     lexicographic order.
 
-    One pass over the letters of the factor with the smaller content: each
-    letter adds a horizontal strip that keeps the lattice condition, and
-    partial tableaux that reach the same shape with the same last strip
-    are merged with their multiplicities added.  When rows/cols are given,
-    no shape leaves the box (exactly the quotient taken by Grassmannian
-    multiplication).
+    One strip pass over the letters of the factor with the smaller
+    content.  When rows/cols are given, no shape leaves the box (exactly
+    the quotient taken by Grassmannian multiplication).
     """
     lam = normalize_partition(lam)
     mu = normalize_partition(mu)
@@ -194,22 +167,8 @@ def expand_basis_product(lam, mu, rows=None, cols=None):
         width = min(width, cols)
     if len(lam) > nrows or lam[0] > width:
         return ()
-    layer = {(lam, None): 1}
-    for i, size in enumerate(mu):
-        keep = i + 1 < len(mu)
-        nxt = {}
-        for (shape, prev), mult in layer.items():
-            for strip in _strips(shape, prev, size, width, nrows):
-                new = list(shape)
-                for r, a in strip:
-                    if r < len(new):
-                        new[r] += a
-                    else:
-                        new.append(a)
-                key = (tuple(new), strip if keep else None)
-                nxt[key] = nxt.get(key, 0) + mult
-        layer = nxt
-    return tuple(sorted(((nu, c) for (nu, _), c in layer.items()), reverse=True))
+    layer = _strip_pass(lam, mu, (width,) * nrows, False)
+    return tuple(sorted(layer.items(), reverse=True))
 
 
 # ---------------------------------------------------------------------------
@@ -244,12 +203,6 @@ class SchurExpansion(SparseCombination):
     @classmethod
     def basis(cls, lam):
         return cls({lam: 1})
-
-    def support(self):
-        return set(self.terms)
-
-    def degrees(self):
-        return {partition_size(lam) for lam in self.terms}
 
 
 def schur_multiply(a, b):
@@ -449,9 +402,8 @@ def oracle_schur_polynomial(lam, n):
 
 
 def oracle_cache_clear():
-    """Release every kernel cache: tableau weights, LR counts, basis
-    products and Schubert polynomials (they can get large in high degree)."""
+    """Release every kernel cache: tableau weights, basis products and
+    Schubert polynomials (they can get large in high degree)."""
     _oracle_cache.clear()
-    _lr_count.cache_clear()
     expand_basis_product.cache_clear()
     _schubert_table.clear()

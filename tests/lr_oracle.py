@@ -1,14 +1,87 @@
-"""The per-candidate Littlewood-Richardson expansion, kept as a test oracle.
+"""The former Littlewood-Richardson kernels, kept as test oracles.
 
-It lists every partition nu that could occur in s_lam * s_mu (inside the
-box when one is given) and counts LR tableaux of shape nu/lam with
-`lr_coefficient`, one search per candidate.  This was the product kernel
-before the one-pass strip expansion in `schubcalc.schur` replaced it; the
-two share only `lr_coefficient`'s input checks.
+`count_lr_tableaux` counts LR tableaux of shape nu/lam and content mu one
+box at a time; it was `lr_coefficient`'s kernel before the strip pass
+capped by nu replaced it.  `expand_by_candidates` lists every partition
+nu that could occur in s_lam * s_mu (inside the box when one is given)
+and counts each with `count_lr_tableaux`; it was the product kernel
+before the one-pass strip expansion.  Neither shares code with
+`schubcalc.schur`'s strip pass.
 """
 
-from schubcalc.indexing import partition_size
-from schubcalc.schur import lr_coefficient
+from schubcalc.indexing import partition_contains, partition_size
+
+
+def count_lr_tableaux(lam, mu, nu):
+    """Count LR tableaux of shape nu/lam and content mu, one box at a time.
+
+    The boxes are filled in the order of the reverse reading word (each
+    row right to left, rows top to bottom), so every constraint is checked
+    the moment a value is placed: rows stay weakly increasing, columns
+    strictly increasing, the content never exceeds mu, and every prefix of
+    the reading word has at least as many i's as (i+1)'s.  Backtracking
+    runs on an explicit stack, so a skew shape of thousands of boxes needs
+    no recursion depth.
+    """
+    if partition_size(lam) + partition_size(mu) != partition_size(nu):
+        return 0
+    if not partition_contains(nu, lam) or not partition_contains(nu, mu):
+        return 0
+    if not mu:
+        return 1
+    nrows = len(nu)
+    lamp = lam + (0,) * (nrows - len(lam))
+    cells = []
+    for r in range(nrows):
+        for c in range(nu[r] - 1, lamp[r] - 1, -1):
+            cells.append((r, c))
+    # neighbours filled before each box: the value to its right bounds it
+    # from above, the value over it from below (-1 where there is none)
+    position = {cell: i for i, cell in enumerate(cells)}
+    right = [position.get((r, c + 1), -1) for r, c in cells]
+    above = [position.get((r - 1, c), -1) for r, c in cells]
+    nvals = len(mu)
+    last = len(cells) - 1
+    counts = [0] * nvals
+    # the lattice condition keeps counts weakly decreasing, so the letters
+    # in use are 1..used and no box can take a letter above used + 1
+    used = 0
+    vals = [0] * len(cells)  # value in each box; while searching, the last one tried
+    tops = [0] * len(cells)
+    tops[0] = nvals
+    total = 0
+    i = 0
+    while True:
+        v = vals[i] + 1
+        hi = tops[i]
+        if hi > used:
+            hi = used + 1
+        while v <= hi:
+            iv = v - 1
+            if counts[iv] < mu[iv] and (v == 1 or counts[iv - 1] > counts[iv]):
+                break
+            v += 1
+        if v > hi:
+            i -= 1
+            if i < 0:
+                return total
+            iv = vals[i] - 1
+            counts[iv] -= 1
+            if not counts[iv]:
+                used -= 1
+            continue
+        vals[i] = v
+        if i == last:
+            total += 1
+            continue
+        if not counts[v - 1]:
+            used += 1
+        counts[v - 1] += 1
+        i += 1
+        j = above[i]
+        vals[i] = vals[j] if j >= 0 else 0
+        j = right[i]
+        tops[i] = vals[j] if j >= 0 else nvals
 
 
 def bounded_partitions(total, low, width, maxrows):
@@ -48,7 +121,7 @@ def expand_by_candidates(lam, mu, rows=None, cols=None):
            for i in range(maxrows)]
     out = []
     for nu in bounded_partitions(total, low, width, maxrows):
-        c = lr_coefficient(lam, mu, nu)
+        c = count_lr_tableaux(lam, mu, nu)
         if c:
             out.append((nu, c))
     return tuple(out)

@@ -232,10 +232,18 @@ def test_lr_command(capsys):
 
 
 def test_lr_command_long_rows(capsys):
-    # one row of 1000 boxes times another: the skew shape has 1000 boxes
-    code, out, err = run_cli(capsys, ["lr", "[1000]", "[1000]", "[2000]"])
-    assert code == 0, err
-    assert json.loads(out)["result"] == 1
+    for lam, mu, nu in [
+        # one row of 1000 boxes times another: the skew shape has 1000 boxes
+        ([1000], [1000], [2000]),
+        # long columns: the letters must come from the conjugates
+        ([1] * 1500, [1] * 1500, [2] * 1500),
+        # a row times a column: the letters must come from the row
+        ([1000], [1] * 1000, [1001] + [1] * 999),
+    ]:
+        args = [json.dumps(p) for p in (lam, mu, nu)]
+        code, out, err = run_cli(capsys, ["lr", *args])
+        assert code == 0, err
+        assert json.loads(out)["result"] == 1
 
 
 def test_solve_long_rows(capsys, tmp_path):

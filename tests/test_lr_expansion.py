@@ -1,10 +1,10 @@
-"""The one-pass product kernel against the per-candidate oracle and Pieri."""
+"""The strip pass against the per-box and per-candidate oracles and Pieri."""
 
 import pytest
 
-from lr_oracle import expand_by_candidates
-from schubcalc.indexing import partitions_in_box, partitions_of
-from schubcalc.schur import expand_basis_product, pieri
+from lr_oracle import count_lr_tableaux, expand_by_candidates
+from schubcalc.indexing import partition_contains, partitions_in_box, partitions_of
+from schubcalc.schur import expand_basis_product, lr_coefficient, pieri
 
 SMALL = [()] + [lam for size in range(1, 7) for lam in partitions_of(size)]
 
@@ -22,6 +22,18 @@ def test_unbounded_products_up_to_size_six():
     for lam in SMALL:
         for mu in SMALL:
             assert expand_basis_product(lam, mu) == expand_by_candidates(lam, mu), (lam, mu)
+
+
+def test_single_coefficients_up_to_size_six():
+    # every nu of the right size that holds both factors: the product's
+    # support and 5507 zero cases; tall and wide factors alike, so both
+    # orientations of the capped pass run
+    for lam in SMALL:
+        for mu in SMALL:
+            for nu in partitions_of(sum(lam) + sum(mu)):
+                if partition_contains(nu, lam) and partition_contains(nu, mu):
+                    want = count_lr_tableaux(lam, mu, nu)
+                    assert lr_coefficient(lam, mu, nu) == want, (lam, mu, nu)
 
 
 def test_larger_shapes():
