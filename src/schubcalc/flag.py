@@ -27,7 +27,6 @@ from .indexing import (
     longest_perm,
     normalize_perm,
     osp_block_sizes,
-    osp_from_perm,
     perm_compose,
     perm_from_code,
     perm_from_osp,
@@ -209,8 +208,6 @@ class FlagClass(SparseCombination):
     @staticmethod
     def _key(space, w):
         w = perm_pad(normalize_perm(w), space.n)
-        if len(w) != space.n:
-            raise ValueError(f"{w} is not a permutation of 1..{space.n}")
         if not is_minimal_rep(w, space.dims):
             raise ValueError(
                 f"{w} is not a minimal coset representative for {space.dims}"
@@ -241,9 +238,6 @@ class FlagClass(SparseCombination):
         if index and isinstance(index[0], tuple):
             return cls.from_osp(space, index)
         return cls.from_permutation(space, index)
-
-    def osp_terms(self):
-        return {osp_from_perm(w, self.space.dims): c for w, c in self.terms.items()}
 
 
 def _times_variable(i, terms, n):

@@ -134,14 +134,15 @@ def giambelli(lam, space):
     lam = normalize_partition(lam)
     if not fits_in_box(lam, space.k, space.l):
         raise BoxOverflow(f"partition {lam} does not fit on {space}")
-    d = len(lam)
-    rows = [chern_class("quot", p, space) for p in range(space.l + 1)]
-    zero = GrassmannClass.zero(space)
-
-    def entry(p):
-        return rows[p] if 0 <= p <= space.l else zero
-
-    mat = [[entry(lam[i] - i + j) for j in range(d)] for i in range(d)]
+    d, l = len(lam), space.l
+    rows = [chern_class("quot", p, space) for p in range(l + 1)]
+    mat = []
+    for i, part in enumerate(lam):
+        # only 0 <= part - i + j <= l is nonzero: a band of at most l + 1
+        row = [0] * d
+        for j in range(max(0, i - part), min(d, l - part + i + 1)):
+            row[j] = rows[part - i + j]
+        mat.append(row)
     return ring_determinant(mat, rows[0])
 
 

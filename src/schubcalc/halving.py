@@ -9,6 +9,13 @@ and the octonionic flag (complete flags in the 3-dimensional octonionic
 plane-field sense) maps with multiplicity 1 onto the quaternionic ring of
 three-step flags.
 
+So every halving class already carries the Schubert labels of one complex
+space, its `index_space`: the doubled space Gr(2k, C^2n) or Fl_2D(C^2n) of a
+real even space, the fixed point for the others. Keys are stored as the
+complex class there stores them, partitions in the box or minimal coset
+representatives padded to n; ordered set partitions appear only in the JSON
+output (`serialize.class_to_json`) and as accepted input.
+
 Why this yields lower bounds: for a zero-dimensional real intersection
 problem with doubled conditions, each solution carries a sign, and the
 signed total is the top coefficient of the product of the real classes.
@@ -23,6 +30,7 @@ Littlewood-Richardson numbers, the signed count is already nonnegative.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .combination import SparseCombination
 from .errors import (
@@ -44,16 +52,12 @@ from .indexing import (
     normalize_partition,
     normalize_perm,
     osp_block_sizes,
-    osp_double,
     osp_from_perm,
-    osp_halve,
-    osp_length,
     partition_double,
     partition_halve,
-    partition_size,
+    perm_double,
     perm_from_osp,
-    perm_length,
-    perm_pad,
+    perm_halve,
 )
 
 REAL_EVEN = "real_even_flag"
@@ -111,77 +115,64 @@ class HalvingSpaceDescriptor:
     def grassmannian_fixed_point(self):
         return isinstance(self.fixed_point, GrassmannianDescriptor)
 
-    def __str__(self):
+    @cached_property
+    def index_space(self):
+        """The complex space whose Schubert labels index this space's classes."""
         fp = self.fixed_point
+        if self.kind != REAL_EVEN:
+            return fp
+        if self.grassmannian_fixed_point:
+            return GrassmannianDescriptor(2 * fp.k, 2 * fp.n)
+        return FlagDescriptor(tuple(2 * d for d in fp.dims))
+
+    def __str__(self):
         if self.kind == OCTONIONIC:
             return "Fl(O^3)"
-        if self.kind == QUATERNIONIC:
-            if self.grassmannian_fixed_point:
-                return f"Gr({fp.k}, H^{fp.n})"
-            return f"Fl{fp.dims}(H^{fp.n})"
+        ix = self.index_space
+        field = "H" if self.kind == QUATERNIONIC else "R"
         if self.grassmannian_fixed_point:
-            return f"Gr({2 * fp.k}, R^{2 * fp.n})"
-        return f"Fl{tuple(2 * d for d in fp.dims)}(R^{2 * fp.n})"
+            return f"Gr({ix.k}, {field}^{ix.n})"
+        return f"Fl{ix.dims}({field}^{ix.n})"
 
 
-def _normalize_index(space, index):
-    """Bring an index to stored form and check it fits the space.
+def _index_key(space, index):
+    """The stored key of an index: its complex key on `space.index_space`.
 
-    Real even / quaternionic spaces over a Grassmannian store partitions;
-    over a flag they store OSPs (a permutation is accepted and converted).
-    The octonionic flag stores permutations of 1..3 (an OSP of three
-    singleton blocks is accepted and converted). Doubledness is not checked
-    here; the halving operations enforce it where required.
+    Partitions must fit the box. A flag index may be an OSP with the index
+    space's blocks; a permutation of 1..n on a real even or quaternionic flag
+    stands for its coset, while the octonionic flag takes minimal
+    permutations padded to 3, as the complex full flag does. Doubledness is
+    not checked here; the halving operations enforce it where required.
     """
-    fp = space.fixed_point
-    if space.kind == OCTONIONIC:
-        if index and isinstance(index[0], tuple):
-            osp = normalize_osp(index)
-            if osp_block_sizes(osp) != (1, 1, 1):
-                raise ValueError(f"OSP {osp} is not a permutation of {space}")
-            index = perm_from_osp(osp)
-        return perm_pad(normalize_perm(index), 3)
+    ix = space.index_space
     if space.grassmannian_fixed_point:
         lam = normalize_partition(index)
-        if space.kind == REAL_EVEN:
-            rows, cols = 2 * fp.k, 2 * fp.l
-        else:
-            rows, cols = fp.k, fp.l
-        if not fits_in_box(lam, rows, cols):
+        if not fits_in_box(lam, ix.k, ix.l):
             raise ValueError(f"partition {lam} does not fit {space}")
         return lam
     if index and isinstance(index[0], tuple):
         osp = normalize_osp(index)
-    else:
-        osp = osp_from_perm(normalize_perm(index), _index_dims(space))
-    if osp_block_sizes(osp) != _index_dims(space):
-        raise ValueError(f"OSP blocks {osp_block_sizes(osp)} do not match {space}")
-    return osp
-
-
-def _index_dims(space):
-    dims = space.fixed_point.dims
-    if space.kind == REAL_EVEN:
-        return tuple(2 * d for d in dims)
-    return dims
+        if osp_block_sizes(osp) != ix.dims:
+            raise ValueError(f"OSP blocks {osp_block_sizes(osp)} do not match {space}")
+        index = perm_from_osp(osp)
+    elif space.kind != OCTONIONIC:
+        index = perm_from_osp(osp_from_perm(normalize_perm(index), ix.dims))
+    return FlagClass._key(ix, index)
 
 
 def _halve(space, index):
     """The complex key on the fixed point of a stored index.
 
-    Real even indices are halved (NotADoubleIndex if they are not doubles),
-    quaternionic ones kept; flag OSPs become their permutations, and an
-    octonionic permutation passes through unchanged.
+    Real even indices are halved (NotADoubleIndex if they are not doubles);
+    the others are keys on the fixed point already.
     """
-    if space.kind == REAL_EVEN:
-        halve = partition_halve if space.grassmannian_fixed_point else osp_halve
-        try:
-            index = halve(index)
-        except NotADouble as exc:
-            raise NotADoubleIndex(f"index {index} is not a doubled index") from exc
-    if space.grassmannian_fixed_point or space.kind == OCTONIONIC:
+    if space.kind != REAL_EVEN:
         return index
-    return perm_from_osp(index)
+    halve = partition_halve if space.grassmannian_fixed_point else perm_halve
+    try:
+        return halve(index)
+    except NotADouble as exc:
+        raise NotADoubleIndex(f"index {index} is not a doubled index") from exc
 
 
 def _complex_ring(fp):
@@ -192,32 +183,25 @@ def _complex_ring(fp):
 
 
 class HalvingClass(SparseCombination):
-    """Rational combination of Schubert classes on a halving space."""
+    """Rational combination of Schubert classes on a halving space.
+
+    Keys are stored as the complex class on `space.index_space` stores them:
+    partitions in its box, or minimal coset representatives padded to n.
+    """
 
     __slots__ = ()
     _scalars = (int, Fraction)
     _zero = Fraction(0)
     _symbol = "sigma"
-    _key = staticmethod(_normalize_index)
+    _key = staticmethod(_index_key)
 
     def _rank(self, index):
-        if self.space.grassmannian_fixed_point:
-            return partition_size(index)
-        if self.space.kind == OCTONIONIC:
-            return perm_length(index)
-        return osp_length(index)
+        return _complex_ring(self.space.index_space)[0]._rank(index)
 
     @staticmethod
     def _unit_key(space):
-        if space.kind == OCTONIONIC:
-            return (1, 2, 3)
-        if space.grassmannian_fixed_point:
-            return ()
-        blocks, start = [], 1
-        for d in _index_dims(space):
-            blocks.append(tuple(range(start, start + d)))
-            start += d
-        return tuple(blocks)
+        ix = space.index_space
+        return _complex_ring(ix)[0]._unit_key(ix)
 
     def _product(self, other):
         return real_double_multiply(self, other)
@@ -234,7 +218,7 @@ def kappa(a):
     space = a.space
     if space.kind == OCTONIONIC:
         target = HalvingSpaceDescriptor.quaternionic_flag((1, 1, 1))
-        return HalvingClass(target, dict(a.terms))
+        return HalvingClass._make(target, a.terms)
     fp = space.fixed_point
     ring = _complex_ring(fp)[0]
     terms = {}
@@ -282,12 +266,9 @@ def real_double_multiply(a, b):
     left, right = (
         ring._make(fp, {_halve(space, k): c for k, c in x.terms.items()}) for x in (a, b)
     )
+    double = partition_double if space.grassmannian_fixed_point else perm_double
     product = left * right
-    if space.grassmannian_fixed_point:
-        terms = {partition_double(k): c for k, c in product.terms.items()}
-    else:
-        terms = {osp_double(k): c for k, c in product.osp_terms().items()}
-    return HalvingClass._make(space, terms)
+    return HalvingClass._make(space, {double(k): c for k, c in product.terms.items()})
 
 
 @dataclass(frozen=True)
@@ -303,7 +284,7 @@ class SchubertProblem:
             count = int(count)
             if count < 1:
                 raise ValueError(f"condition count must be positive, got {count}")
-            fixed.append((_normalize_index(self.space, index), count))
+            fixed.append((_index_key(self.space, index), count))
         object.__setattr__(self, "conditions", tuple(fixed))
 
 

@@ -356,6 +356,23 @@ def osp_from_perm(w, dims):
     return tuple(osp)
 
 
+def perm_double(w):
+    """Replace every letter i by the pair 2i-1, 2i.
+
+    The minimal coset representative of an OSP goes to that of its
+    osp_double, so doubling commutes with cutting into blocks.
+    """
+    return tuple(y for x in w for y in (2 * x - 1, 2 * x))
+
+
+def perm_halve(w):
+    """Inverse of perm_double.  Raises NotADouble if impossible."""
+    odd = w[0::2]
+    if len(w) % 2 or w[1::2] != tuple(x + 1 for x in odd) or any(x % 2 == 0 for x in odd):
+        raise NotADouble("%r does not list pairs 2i-1, 2i" % (w,))
+    return tuple((x + 1) // 2 for x in odd)
+
+
 def is_minimal_rep(w, dims):
     """True when w is increasing inside every block of dims."""
     pos = 0

@@ -22,6 +22,7 @@ from .indexing import (
     normalize_osp,
     normalize_partition,
     normalize_perm,
+    osp_from_perm,
 )
 from .schur import SchurExpansion
 
@@ -159,7 +160,11 @@ def _term_key_name(a):
 
 def class_to_json(a):
     key_name = _term_key_name(a)
-    terms = [_term_entry(key_name, index, c) for index, c in a.sorted_terms()]
+    pairs = a.sorted_terms()
+    if key_name == "osp":
+        dims = a.space.index_space.dims
+        pairs = [(osp_from_perm(w, dims), c) for w, c in pairs]
+    terms = [_term_entry(key_name, index, c) for index, c in pairs]
     if a.space is None:
         return {"terms": terms}
     return {"space": space_to_json(a.space), "terms": terms}
@@ -176,13 +181,8 @@ class ParsedProblem:
     degeneracy: object
 
 
-_DEFAULT_MODES = {
-    "complex": "count",
-    REAL_EVEN: "lower_bound",
-    QUATERNIONIC: "count",
-    OCTONIONIC: "count",
-}
-_ALLOWED_MODES = {
+# The modes each family allows; the first is its default.
+_MODES = {
     "complex": ("count", "class"),
     REAL_EVEN: ("lower_bound",),
     QUATERNIONIC: ("count",),
@@ -200,11 +200,10 @@ def parse_problem(obj, mode_override=None):
     space = space_from_json(obj["space"])
     kind = _space_kind(space)
 
-    mode = mode_override or obj.get("mode") or _DEFAULT_MODES[kind]
+    mode = mode_override or obj.get("mode") or _MODES[kind][0]
     _require(
-        mode in _ALLOWED_MODES[kind],
-        f"mode {mode!r} is not available on {space} "
-        f"(choose from {_ALLOWED_MODES[kind]})",
+        mode in _MODES[kind],
+        f"mode {mode!r} is not available on {space} (choose from {_MODES[kind]})",
     )
 
     raw_conditions = obj.get("conditions")

@@ -412,6 +412,40 @@ def test_kappa_octonionic_lands_on_quaternionic_carrier(capsys):
     assert "error:" in err
 
 
+def test_flag_index_forms_by_family(capsys):
+    # A complex flag takes only minimal coset representatives; the real even
+    # and quaternionic flags read a whole permutation as its coset, which
+    # comes back as an OSP; only the octonionic flag pads a short one.
+    fl21 = {"type": "complex_flag", "dims": [2, 1]}
+    code, out, err = run_cli(capsys, ["mult", "--space", json.dumps(fl21), "[2,1,3]", "[1,2,3]"])
+    assert (code, out) == (2, "")
+    assert "minimal coset representative" in err
+    for sp in ({"type": "quaternionic_flag", "dims": [2, 2]}, {"type": "real_even_flag", "dims": [2, 2]}):
+        code, out, err = run_cli(capsys, ["kappa", "--space", json.dumps(sp), "[2,1,3,4]"])
+        assert code == 0, err
+        assert json.loads(out)["input"]["class"]["terms"] == [{"osp": [[1, 2], [3, 4]], "coeff": "1"}]
+        code, out, err = run_cli(capsys, ["kappa", "--space", json.dumps(sp), "[2,1]"])
+        assert (code, out) == (2, ""), sp
+        assert "error:" in err
+    code, out, err = run_cli(capsys, ["kappa", "--space", json.dumps(OCT), "[2,1]", "--format", "text"])
+    assert code == 0, err
+    assert out.startswith("result: S[[2], [1], [3]]\n")
+
+    fl222r6 = json.dumps({"type": "real_even_flag", "dims": [2, 2, 2]})
+    expected = [
+        {"osp": [[3, 4], [5, 6], [1, 2]], "coeff": "1"},
+        {"osp": [[5, 6], [1, 2], [3, 4]], "coeff": "1"},
+    ]
+    for a, b in (
+        ("[[3,4],[1,2],[5,6]]", "[[1,2],[5,6],[3,4]]"),
+        ("[3,4,1,2,5,6]", "[1,2,5,6,3,4]"),
+        ("[4,3,2,1,6,5]", '{"terms": [{"osp": [[1,2],[5,6],[3,4]]}]}'),
+    ):
+        code, out, err = run_cli(capsys, ["mult", "--space", fl222r6, a, b])
+        assert code == 0, err
+        assert json.loads(out)["result"]["terms"] == expected, (a, b)
+
+
 def test_kappa_non_integral_image_exits_two(capsys):
     cls = json.dumps({"terms": [{"partition": [2, 2], "coeff": "1/4"}]})
     space = json.dumps({"type": "real_even_grassmannian", "k": 2, "n": 4})

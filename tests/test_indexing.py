@@ -1,5 +1,7 @@
 """Partition, ordered set partition and permutation combinatorics."""
 
+import itertools
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -30,8 +32,10 @@ from schubcalc.indexing import (
     perm_code,
     perm_compose,
     perm_descents,
+    perm_double,
     perm_from_code,
     perm_from_osp,
+    perm_halve,
     perm_inverse,
     perm_length,
     perm_pad,
@@ -160,6 +164,24 @@ def test_osp_halve_rejects_non_doubles():
         osp_halve(((1, 3), (2, 4)))
     with pytest.raises(NotADouble):
         osp_halve(((1,), (2,)))
+
+
+@given(osp_strategy())
+def test_perm_double_matches_osp_double(osp):
+    w = perm_from_osp(osp)
+    assert perm_double(w) == perm_from_osp(osp_double(osp))
+    assert perm_halve(perm_double(w)) == w
+
+
+@pytest.mark.parametrize("dims", [(2, 2, 2), (4, 2), (2, 4)])
+def test_perm_halve_accepts_exactly_the_doubled_cosets(dims):
+    for w in itertools.permutations(range(1, 7)):
+        osp = osp_from_perm(w, dims)
+        if is_doubled_osp(osp):
+            assert perm_halve(perm_from_osp(osp)) == perm_from_osp(osp_halve(osp))
+        else:
+            with pytest.raises(NotADouble):
+                perm_halve(perm_from_osp(osp))
 
 
 @given(osp_strategy())
