@@ -9,36 +9,30 @@ import argparse
 import json
 import sys
 import time
-from fractions import Fraction
 
 from . import halving
 from .errors import (
-    BoxOverflow,
     DimensionMismatch,
     NotADoubleIndex,
     SchubertError,
     SpaceMismatch,
 )
-from .flag import FlagClass, FlagDescriptor
 from .grassmann import (
-    GrassmannClass,
     GrassmannianDescriptor,
     degeneracy_count_and_locus,
     giambelli,
 )
-from .halving import (
-    REAL_EVEN,
-    HalvingClass,
-    HalvingSpaceDescriptor,
-    kappa,
-)
+from .halving import REAL_EVEN, HalvingSpaceDescriptor, kappa
 from .schur import lr_coefficient
 from .selftest import run_selftest
 from .serialize import (
+    TERM_KEYS,
     ProblemSchemaError,
+    class_from_json,
     class_to_json,
     index_from_json,
     parse_problem,
+    partition_from_json,
     result_to_json,
     space_from_json,
     space_to_json,
@@ -48,79 +42,17 @@ EXIT_OK = 0
 EXIT_SCHEMA = 2
 EXIT_UNSOLVABLE = 3
 
-_TERM_KEYS = ("partition", "permutation", "osp", "index")
-
 
 def _load_json(text, what):
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an int past the digit limit
         raise ProblemSchemaError(f"{what} is not valid JSON: {exc}") from None
-
-
-def _basis(space, index):
-    try:
-        if isinstance(space, GrassmannianDescriptor):
-            return GrassmannClass.basis(space, index)
-        if isinstance(space, FlagDescriptor):
-            return FlagClass.basis(space, index)
-        return HalvingClass.basis(space, index)
-    except (BoxOverflow, ValueError) as exc:
-        raise ProblemSchemaError(f"index {list(index)!r}: {exc}") from None
-
-
-def _parse_coefficient(raw, rational):
-    if isinstance(raw, bool):
-        raise ProblemSchemaError(f"bad coefficient {raw!r}")
-    if isinstance(raw, int):
-        value = Fraction(raw)
-    elif isinstance(raw, str):
-        try:
-            value = Fraction(raw)
-        except (ValueError, ZeroDivisionError):
-            raise ProblemSchemaError(f"bad coefficient {raw!r}") from None
-    else:
-        raise ProblemSchemaError(f"bad coefficient {raw!r}")
-    if rational:
-        return value
-    if value.denominator != 1:
-        raise ProblemSchemaError(f"coefficient {raw!r} must be an integer here")
-    return value.numerator
-
-
-def class_from_json(space, raw):
-    """Build a class on `space` from a bare index or a {"terms": ...} object."""
-    if isinstance(raw, list):
-        return _basis(space, index_from_json(space, raw))
-    if not isinstance(raw, dict) or not isinstance(raw.get("terms"), list):
-        raise ProblemSchemaError(
-            "a class argument must be an index array or an object with 'terms'"
-        )
-    rational = isinstance(space, HalvingSpaceDescriptor)
-    total = None
-    for entry in raw["terms"]:
-        if not isinstance(entry, dict):
-            raise ProblemSchemaError("every term must be an object")
-        keys = [k for k in _TERM_KEYS if k in entry]
-        if len(keys) != 1:
-            raise ProblemSchemaError(
-                f"every term needs exactly one index key from {_TERM_KEYS}"
-            )
-        index = index_from_json(space, entry[keys[0]])
-        coeff = _parse_coefficient(entry.get("coeff", 1), rational)
-        term = coeff * _basis(space, index)
-        total = term if total is None else total + term
-    if total is None:
-        raise ProblemSchemaError("a class needs at least one term")
-    return total
 
 
 def _solve_report(parsed):
     """Solve one parsed problem and build its report."""
-    try:
-        value, provenance = halving.solve(parsed)
-    except (BoxOverflow, ValueError) as exc:
-        raise ProblemSchemaError(str(exc)) from None
+    value, provenance = halving.solve(parsed)
     if isinstance(value, int):
         result = result_to_json(value)
     else:
@@ -137,7 +69,7 @@ def _class_text(value):
         return "0"
     parts = []
     for term in value["terms"]:
-        key = next(k for k in _TERM_KEYS if k in term)
+        key = next(k for k in TERM_KEYS if k in term)
         symbol = "s" if key == "partition" else "S"
         coeff = term["coeff"]
         prefix = "" if coeff == "1" else f"{coeff}*"
@@ -210,11 +142,10 @@ def cmd_solve(args):
 
 
 def cmd_lr(args):
-    indices = []
-    for name, text in (("lam", args.lam), ("mu", args.mu), ("nu", args.nu)):
-        raw = _load_json(text, name)
-        indices.append(index_from_json(GrassmannianDescriptor(1, 2), raw))
-    lam, mu, nu = indices
+    lam, mu, nu = (
+        partition_from_json(_load_json(text, name))
+        for name, text in (("lam", args.lam), ("mu", args.mu), ("nu", args.nu))
+    )
     value = lr_coefficient(lam, mu, nu)
     report = _report(
         {"lr": [list(lam), list(mu), list(nu)]},
@@ -248,10 +179,7 @@ def cmd_giambelli(args):
     if not isinstance(space, GrassmannianDescriptor):
         raise ProblemSchemaError("the determinantal expansion needs a complex Grassmannian")
     lam = index_from_json(space, _load_json(args.partition, "the partition"))
-    try:
-        value = giambelli(lam, space)
-    except BoxOverflow as exc:
-        raise ProblemSchemaError(str(exc)) from None
+    value = giambelli(lam, space)
     report = _report(
         {"space": space_to_json(space), "partition": list(lam)},
         class_to_json(value),

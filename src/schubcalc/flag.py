@@ -15,6 +15,9 @@ basis by triangular elimination; every elimination step re-checks that the
 basis polynomial it subtracts has the expected minimal monomial with
 coefficient one, so a convention slip raises instead of corrupting output.
 No product goes through it; it serves the self-test and the test oracle.
+
+Classes are keyed by permutations only; ordered set partitions, the other
+name of a coset, are read and written in `serialize` alone.
 """
 
 from dataclasses import dataclass
@@ -26,10 +29,8 @@ from .indexing import (
     is_minimal_rep,
     longest_perm,
     normalize_perm,
-    osp_block_sizes,
     perm_compose,
     perm_from_code,
-    perm_from_osp,
     perm_inverse,
     perm_length,
     perm_pad,
@@ -198,7 +199,8 @@ class FlagDescriptor:
 class FlagClass(SparseCombination):
     """Sparse integer combination of Schubert classes on a partial flag manifold.
 
-    Keys are minimal coset representative permutations, stored padded to n.
+    Keys are minimal coset representative permutations, stored padded to n;
+    `basis(space, w)` builds one from any shorter minimal representative.
     """
 
     __slots__ = ()
@@ -220,24 +222,6 @@ class FlagClass(SparseCombination):
 
     def _product(self, other):
         return flag_multiply(self, other)
-
-    @classmethod
-    def from_permutation(cls, space, w):
-        return cls(space, {w: 1})
-
-    @classmethod
-    def from_osp(cls, space, osp):
-        if osp_block_sizes(osp) != space.dims:
-            raise ValueError(
-                f"OSP block sizes {osp_block_sizes(osp)} do not match {space.dims}"
-            )
-        return cls(space, {perm_from_osp(osp): 1})
-
-    @classmethod
-    def basis(cls, space, index):
-        if index and isinstance(index[0], tuple):
-            return cls.from_osp(space, index)
-        return cls.from_permutation(space, index)
 
 
 def _times_variable(i, terms, n):

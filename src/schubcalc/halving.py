@@ -13,8 +13,9 @@ So every halving class already carries the Schubert labels of one complex
 space, its `index_space`: the doubled space Gr(2k, C^2n) or Fl_2D(C^2n) of a
 real even space, the fixed point for the others. Keys are stored as the
 complex class there stores them, partitions in the box or minimal coset
-representatives padded to n; ordered set partitions appear only in the JSON
-output (`serialize.class_to_json`) and as accepted input.
+representatives padded to n. JSON indices, ordered set partitions among
+them, are read by `serialize.index_from_json`, Python ones by `_index_key`;
+`solve` trusts the keys it is given.
 
 Why this yields lower bounds: for a zero-dimensional real intersection
 problem with doubled conditions, each solution carries a sign, and the
@@ -48,10 +49,8 @@ from .grassmann import (
 )
 from .indexing import (
     fits_in_box,
-    normalize_osp,
     normalize_partition,
     normalize_perm,
-    osp_block_sizes,
     osp_from_perm,
     partition_double,
     partition_halve,
@@ -138,11 +137,11 @@ class HalvingSpaceDescriptor:
 def _index_key(space, index):
     """The stored key of an index: its complex key on `space.index_space`.
 
-    Partitions must fit the box. A flag index may be an OSP with the index
-    space's blocks; a permutation of 1..n on a real even or quaternionic flag
-    stands for its coset, while the octonionic flag takes minimal
-    permutations padded to 3, as the complex full flag does. Doubledness is
-    not checked here; the halving operations enforce it where required.
+    Partitions must fit the box. A permutation of 1..n on a real even or
+    quaternionic flag stands for its coset, while the octonionic flag takes
+    minimal permutations padded to 3, as the complex full flag does.
+    Doubledness is not checked here; the halving operations enforce it where
+    required.
     """
     ix = space.index_space
     if space.grassmannian_fixed_point:
@@ -150,12 +149,7 @@ def _index_key(space, index):
         if not fits_in_box(lam, ix.k, ix.l):
             raise ValueError(f"partition {lam} does not fit {space}")
         return lam
-    if index and isinstance(index[0], tuple):
-        osp = normalize_osp(index)
-        if osp_block_sizes(osp) != ix.dims:
-            raise ValueError(f"OSP blocks {osp_block_sizes(osp)} do not match {space}")
-        index = perm_from_osp(osp)
-    elif space.kind != OCTONIONIC:
+    if space.kind != OCTONIONIC:
         index = perm_from_osp(osp_from_perm(normalize_perm(index), ix.dims))
     return FlagClass._key(ix, index)
 
@@ -302,12 +296,10 @@ def _multiply_conditions(space, conditions, count_mode, what="conditions"):
     fp = space.fixed_point if isinstance(space, HalvingSpaceDescriptor) else space
     ring, integrate = _complex_ring(fp)
     factors, total = [], 0
-    for index, count in conditions:
-        base = ring.basis(fp, index)
-        (key,) = base.terms
-        degree = base._rank(key)
+    for key, count in conditions:
+        degree = ring._rank(key)
         if degree:
-            factors.append((base, count))
+            factors.append((ring._make(fp, {key: 1}), count))
             total += count * degree
     dim = fp.complex_dimension
     if count_mode and total != dim:
@@ -325,7 +317,7 @@ def _multiply_conditions(space, conditions, count_mode, what="conditions"):
 
 
 def _halved(problem):
-    """The conditions of a halving problem as (complex key, count) pairs."""
+    """The (complex key, count) pairs of a SchubertProblem or ParsedProblem."""
     space = problem.space
     halved = []
     for pos, (index, count) in enumerate(problem.conditions, start=1):
@@ -423,7 +415,7 @@ def solve(parsed):
     their own ring; real even conditions are halved, and quaternionic and
     octonionic ones kept, before they reach the fixed-point ring (the
     octonionic flag's, through its quaternionic (1,1,1) carrier, is
-    Fl(C^3)). Index errors raise BoxOverflow or ValueError.
+    Fl(C^3)). The condition indices are stored keys, already checked.
     """
     space = parsed.space
     if not isinstance(space, HalvingSpaceDescriptor):
@@ -434,11 +426,10 @@ def solve(parsed):
         corank, count = parsed.degeneracy
         value = real_degeneracy_lower_bound(space, count, corank=corank)
         return value, _PROVENANCE["corank"]
-    problem = SchubertProblem(space, parsed.conditions)
     if space.kind == REAL_EVEN:
-        value = real_lower_bound(problem)
+        value = real_lower_bound(parsed)
     elif space.kind == QUATERNIONIC:
-        value = quaternionic_count(problem)
+        value = quaternionic_count(parsed)
     else:
-        value = _multiply_conditions(space, _halved(problem), True)
+        value = _multiply_conditions(space, _halved(parsed), True)
     return value, _PROVENANCE[space.kind]

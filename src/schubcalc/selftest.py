@@ -126,11 +126,11 @@ def _check_halving_bounds():
 def _check_monk_three():
     space = flag_mod.FlagDescriptor((1, 1, 1))
     for w in ((1, 2, 3), (2, 1, 3), (1, 3, 2), (3, 1, 2), (2, 3, 1), (3, 2, 1)):
-        base = flag_mod.FlagClass.from_permutation(space, w)
+        base = flag_mod.FlagClass.basis(space, w)
         for r in (1, 2):
             got = flag_mod.monk_multiply(r, base)
             want = flag_mod.flag_multiply(
-                flag_mod.FlagClass.from_permutation(
+                flag_mod.FlagClass.basis(
                     space, indexing_mod.perm_swap_positions((1, 2, 3), r, r + 1)
                 ),
                 base,
@@ -143,18 +143,18 @@ def _check_flag_four():
     space = flag_mod.FlagDescriptor((1, 1, 1, 1))
     perms = [tuple(p) for p in permutations((1, 2, 3, 4))]
     for w in perms:
-        base = flag_mod.FlagClass.from_permutation(space, w)
+        base = flag_mod.FlagClass.basis(space, w)
         for r in (1, 2, 3):
             got = flag_mod.monk_multiply(r, base)
             want = flag_mod.flag_multiply(
-                flag_mod.FlagClass.from_permutation(
+                flag_mod.FlagClass.basis(
                     space, indexing_mod.perm_swap_positions((1, 2, 3, 4), r, r + 1)
                 ),
                 base,
             )
             if got != want:
                 _fail(f"degree-one product at {w}, position {r}")
-    top = flag_mod.FlagClass.from_permutation(space, (4, 3, 2, 1))
+    top = flag_mod.FlagClass.basis(space, (4, 3, 2, 1))
     unit = flag_mod.FlagClass.unit(space)
     _expect(flag_mod.flag_integrate(top * unit), 1, "point class pairing")
 
@@ -179,8 +179,8 @@ def _check_flag_polynomials():
                 if len(w) <= n:
                     want[indexing_mod.perm_pad(w, n)] = c
             got = flag_mod.flag_multiply(
-                flag_mod.FlagClass.from_permutation(space, u),
-                flag_mod.FlagClass.from_permutation(space, v),
+                flag_mod.FlagClass.basis(space, u),
+                flag_mod.FlagClass.basis(space, v),
             )
             _expect(dict(got.terms), want, f"product of {u} and {v}")
 

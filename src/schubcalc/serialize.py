@@ -1,14 +1,23 @@
 """JSON forms for spaces, classes, indices, and problem files.
 
+JSON becomes keys here and nowhere else: `index_from_json` reads an index
+once and returns the key classes on the space store, so ordered set
+partitions are read and written only in this module. Index errors become
+`ProblemSchemaError`, which `parse_problem` prefixes with the condition.
+
 Output is deterministic: term lists are sorted by (degree, index) and all
 term coefficients are decimal strings, so arbitrarily large integers and
-rational halving coefficients travel without width ambiguity. Top-level
-integer results stay JSON numbers while they fit in 63 bits and become
-decimal strings beyond that.
+rational halving coefficients travel without width ambiguity. Input
+coefficients take exactly those forms, a JSON integer or a string `-?N` or
+`-?N/D`. Top-level integer results stay JSON numbers while they fit in 63
+bits and become decimal strings beyond that.
 """
 
+import re
 from dataclasses import dataclass
+from fractions import Fraction
 
+from .errors import BoxOverflow
 from .flag import FlagClass, FlagDescriptor
 from .grassmann import GrassmannClass, GrassmannianDescriptor
 from .halving import (
@@ -17,16 +26,20 @@ from .halving import (
     REAL_EVEN,
     HalvingClass,
     HalvingSpaceDescriptor,
+    _complex_ring,
 )
 from .indexing import (
     normalize_osp,
     normalize_partition,
-    normalize_perm,
+    osp_block_sizes,
     osp_from_perm,
+    perm_from_osp,
 )
 from .schur import SchurExpansion
 
 INT63 = 2 ** 63
+TERM_KEYS = ("partition", "permutation", "osp", "index")
+_COEFFICIENT = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
 
 
 class ProblemSchemaError(Exception):
@@ -119,20 +132,41 @@ def _int_list(raw, what):
     return tuple(raw)
 
 
-def index_from_json(space, raw):
-    """Parse a condition index in the form the space expects."""
-    flag_like = isinstance(space, FlagDescriptor) or (
-        isinstance(space, HalvingSpaceDescriptor) and not space.grassmannian_fixed_point
-    )
+def partition_from_json(raw):
+    """A partition read from JSON, on no particular space."""
     try:
-        if not flag_like:
-            return normalize_partition(_int_list(raw, "a partition index"))
-        if isinstance(raw, list) and raw and all(isinstance(b, list) for b in raw):
-            return normalize_osp(tuple(tuple(b) for b in raw))
-        return normalize_perm(_int_list(raw, "a permutation index"))
-    except ProblemSchemaError:
-        raise
-    except (ValueError, TypeError) as exc:
+        return normalize_partition(_int_list(raw, "a partition index"))
+    except ValueError as exc:
+        raise ProblemSchemaError(f"invalid index {raw!r}: {exc}") from None
+
+
+def _class_type(space):
+    if isinstance(space, HalvingSpaceDescriptor):
+        return HalvingClass
+    return _complex_ring(space)[0]
+
+
+def index_from_json(space, raw):
+    """The key that classes on `space` store for a JSON index.
+
+    A Grassmannian index is a partition; a flag index is a permutation or an
+    OSP whose blocks are those of the space (of its index space, for a
+    halving space), which becomes the minimal permutation of its blocks.
+    Either then goes through the `_key` of the space's class type.
+    """
+    ix = space.index_space if isinstance(space, HalvingSpaceDescriptor) else space
+    try:
+        if isinstance(ix, GrassmannianDescriptor):
+            index = _int_list(raw, "a partition index")
+        elif isinstance(raw, list) and raw and all(isinstance(b, list) for b in raw):
+            osp = normalize_osp(tuple(_int_list(b, "an OSP block") for b in raw))
+            if osp_block_sizes(osp) != ix.dims:
+                raise ValueError(f"OSP blocks {osp_block_sizes(osp)} do not match {space}")
+            index = perm_from_osp(osp)
+        else:
+            index = _int_list(raw, "a permutation index")
+        return _class_type(space)._key(space, index)
+    except (BoxOverflow, ValueError) as exc:
         raise ProblemSchemaError(f"invalid index {raw!r}: {exc}") from None
 
 
@@ -168,6 +202,53 @@ def class_to_json(a):
     if a.space is None:
         return {"terms": terms}
     return {"space": space_to_json(a.space), "terms": terms}
+
+
+def _parse_coefficient(raw, rational):
+    """A JSON integer, or a string in the form `class_to_json` writes."""
+    if isinstance(raw, bool):
+        raise ProblemSchemaError(f"bad coefficient {raw!r}")
+    if isinstance(raw, int):
+        value = Fraction(raw)
+    elif isinstance(raw, str) and _COEFFICIENT.fullmatch(raw):
+        try:
+            value = Fraction(raw)
+        except (ValueError, ZeroDivisionError):
+            raise ProblemSchemaError(f"bad coefficient {raw!r}") from None
+    else:
+        raise ProblemSchemaError(f"bad coefficient {raw!r}")
+    if rational:
+        return value
+    if value.denominator != 1:
+        raise ProblemSchemaError(f"coefficient {raw!r} must be an integer here")
+    return value.numerator
+
+
+def class_from_json(space, raw):
+    """Build a class on `space` from a bare index or a {"terms": ...} object."""
+    cls = _class_type(space)
+    if isinstance(raw, list):
+        return cls._make(space, {index_from_json(space, raw): cls._zero + 1})
+    if not isinstance(raw, dict) or not isinstance(raw.get("terms"), list):
+        raise ProblemSchemaError(
+            "a class argument must be an index array or an object with 'terms'"
+        )
+    if not raw["terms"]:
+        raise ProblemSchemaError("a class needs at least one term")
+    rational = cls is HalvingClass
+    terms = {}
+    for entry in raw["terms"]:
+        if not isinstance(entry, dict):
+            raise ProblemSchemaError("every term must be an object")
+        keys = [k for k in TERM_KEYS if k in entry]
+        if len(keys) != 1:
+            raise ProblemSchemaError(
+                f"every term needs exactly one index key from {TERM_KEYS}"
+            )
+        key = index_from_json(space, entry[keys[0]])
+        coeff = _parse_coefficient(entry.get("coeff", 1), rational)
+        terms[key] = terms.get(key, cls._zero) + coeff
+    return cls._make(space, terms)
 
 
 @dataclass(frozen=True)

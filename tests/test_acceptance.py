@@ -36,12 +36,12 @@ from schubcalc.halving import (
     real_lower_bound,
 )
 from schubcalc.indexing import (
-    osp_double,
     partition_conjugate,
     partition_double,
     partition_to_osp,
     partitions_in_box,
     partitions_of,
+    perm_double,
     perm_from_osp,
     perm_swap_positions,
 )
@@ -236,11 +236,11 @@ def test_criterion_09_flag_consistency():
             identity = tuple(range(1, n + 1))
             perms = [tuple(p) for p in itertools.permutations(identity)]
             for w in perms:
-                base = FlagClass.from_permutation(space, w)
+                base = FlagClass.basis(space, w)
                 for r in range(1, n):
                     via_rule = monk_multiply(r, base)
                     via_product = flag_multiply(
-                        FlagClass.from_permutation(
+                        FlagClass.basis(
                             space, perm_swap_positions(identity, r, r + 1)
                         ),
                         base,
@@ -252,8 +252,8 @@ def test_criterion_09_flag_consistency():
         for u in perms4:
             for v in perms4:
                 prod = flag_multiply(
-                    FlagClass.from_permutation(space4, u),
-                    FlagClass.from_permutation(space4, v),
+                    FlagClass.basis(space4, u),
+                    FlagClass.basis(space4, v),
                 )
                 assert all(c >= 0 for c in prod.terms.values()), (u, v)
 
@@ -267,8 +267,8 @@ def test_criterion_09_flag_consistency():
                     GrassmannClass.basis(grass, mu),
                 )
                 fl_prod = flag_multiply(
-                    FlagClass.from_osp(two_step, partition_to_osp(lam, 2, 2)),
-                    FlagClass.from_osp(two_step, partition_to_osp(mu, 2, 2)),
+                    FlagClass.basis(two_step, perm_from_osp(partition_to_osp(lam, 2, 2))),
+                    FlagClass.basis(two_step, perm_from_osp(partition_to_osp(mu, 2, 2))),
                 )
                 translated = {
                     perm_from_osp(partition_to_osp(nu, 2, 2)): c
@@ -294,12 +294,9 @@ def test_criterion_10_halving_homomorphism():
 
         real_fl = HalvingSpaceDescriptor.real_even_flag((2, 2, 2))
         fixed = real_fl.fixed_point
-        doubled_osps = [
-            osp_double(tuple((i,) for i in p))
-            for p in itertools.permutations((1, 2, 3))
-        ]
-        for di in doubled_osps:
-            for dj in doubled_osps:
+        doubled_perms = [perm_double(p) for p in itertools.permutations((1, 2, 3))]
+        for di in doubled_perms:
+            for dj in doubled_perms:
                 a = HalvingClass.basis(real_fl, di)
                 b = HalvingClass.basis(real_fl, dj)
                 assert kappa(real_double_multiply(a, b)) == flag_multiply(

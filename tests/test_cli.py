@@ -145,6 +145,41 @@ def test_solve_exit_codes(capsys, tmp_path):
         assert "error:" in err
 
 
+@pytest.mark.parametrize(
+    "space,good,bad",
+    [
+        (GR24, [1], [3]),
+        (GR4R8, [2, 2], [6, 6]),
+        ({"type": "complex_flag", "dims": [2, 1]}, [1, 3, 2], [2, 1, 3]),
+        ({"type": "complex_flag", "dims": [2, 1]}, [[1, 3], [2]], [[1], [2], [3]]),
+        ({"type": "real_even_flag", "dims": [2, 2]}, [[1, 2], [3, 4]], [[1, 2, 3], [4]]),
+    ],
+)
+def test_index_errors_name_their_condition(capsys, tmp_path, space, good, bad):
+    # the index is read once, at parse time, so the message says which one
+    payload = problem(space, [{"index": good, "count": 1}, {"index": bad, "count": 1}])
+    code, out, err = solve_json(capsys, tmp_path, payload)
+    assert (code, out) == (2, ""), err
+    assert "condition 2" in err
+
+
+def test_oversized_json_integers_end_cleanly(capsys, tmp_path):
+    # Python 3.11+ refuses to read a JSON integer of more than 4300 digits;
+    # before that limit the count is read and fails the degree check.
+    big = "9" * 5000
+    path = tmp_path / "big.json"
+    path.write_text(
+        f'{{"space": {json.dumps(GR24)}, "conditions": [{{"index": [1], "count": {big}}}]}}'
+    )
+    code, _, err = run_cli(capsys, ["solve", "--input", str(path)])
+    assert code in (2, 3), err
+    assert "error:" in err and "Traceback" not in err
+    cls = f'{{"terms": [{{"partition": [1], "coeff": {big}}}]}}'
+    code, _, err = run_cli(capsys, ["mult", "--space", json.dumps(GR24), cls, "[1]"])
+    assert code in (0, 2), err
+    assert "Traceback" not in err
+
+
 def test_solve_skips_work_the_degree_rules_out(capsys, tmp_path):
     # A count of 10**12 must be settled by the degree check alone: nothing
     # may be multiplied once per count.
@@ -298,6 +333,15 @@ def test_mult_accepts_term_objects(capsys):
         {"partition": [1, 1], "coeff": "2"},
         {"partition": [2], "coeff": "2"},
     ]
+
+
+def test_coefficients_take_the_output_forms_only(capsys):
+    # "1e999999999" once built 10**999999999 before failing
+    for coeff, expected in (("3", 0), ("-3", 0), ("6/2", 0), ("1e999999999", 2),
+                            ("1e-99999999", 2), ("1.5", 2), ("1_000", 2), ("1/0", 2)):
+        a = json.dumps({"terms": [{"partition": [1], "coeff": coeff}]})
+        code, _, err = run_cli(capsys, ["mult", "--space", json.dumps(GR24), a, "[1]"])
+        assert code == expected, (coeff, err)
 
 
 def test_mult_real_even_requires_doubled(capsys):

@@ -8,7 +8,7 @@ from schubcalc.errors import BoxOverflow, SpaceMismatch
 from schubcalc.flag import FlagClass, FlagDescriptor
 from schubcalc.grassmann import GrassmannClass, GrassmannianDescriptor
 from schubcalc.halving import HalvingClass, HalvingSpaceDescriptor
-from schubcalc.indexing import osp_double, osp_from_perm
+from schubcalc.indexing import perm_double
 from schubcalc.poly import SparsePolynomial
 from schubcalc.schur import SchurExpansion
 
@@ -19,10 +19,6 @@ Case = namedtuple("Case", "basis zero unit a b other rebuild bad error")
 GR24 = GrassmannianDescriptor(2, 4)
 FL21 = FlagDescriptor((2, 1))
 FL222R6 = HalvingSpaceDescriptor.real_even_flag((2, 2, 2))
-
-
-def doubled(w):
-    return osp_double(osp_from_perm(w, (1, 1, 1)))
 
 
 def grassmann():
@@ -58,13 +54,13 @@ def halving():
         basis=lambda key: HalvingClass.basis(FL222R6, key),
         zero=HalvingClass.zero(FL222R6),
         unit=HalvingClass.unit(FL222R6),
-        a=doubled((2, 1, 3)),
-        b=doubled((1, 3, 2)),
+        a=perm_double((2, 1, 3)),
+        b=perm_double((1, 3, 2)),
         other=HalvingClass.basis(
             HalvingSpaceDescriptor.real_even_grassmannian(4, 8), (2, 2)
         ),
         rebuild=lambda x: HalvingClass(x.space, x.terms),
-        bad=lambda: HalvingClass.basis(FL222R6, ((1, 2), (3, 4, 5, 6))),
+        bad=lambda: HalvingClass.basis(FL222R6, (1, 2, 3)),
         error=ValueError,
     )
 

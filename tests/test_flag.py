@@ -149,16 +149,16 @@ def test_flag_class_validation():
 
 
 def test_flag_multiply_s3():
-    s1 = FlagClass.from_permutation(FL3, (2, 1, 3))
-    s2 = FlagClass.from_permutation(FL3, (1, 3, 2))
+    s1 = FlagClass.basis(FL3, (2, 1, 3))
+    s2 = FlagClass.basis(FL3, (1, 3, 2))
     prod = flag_multiply(s1, s2)
     assert prod.terms == {(2, 3, 1): 1, (3, 1, 2): 1}
     assert flag_multiply(FlagClass.unit(FL3), s1) == s1
 
 
 def test_flag_integrate_s3():
-    s1 = FlagClass.from_permutation(FL3, (2, 1, 3))
-    s2 = FlagClass.from_permutation(FL3, (1, 3, 2))
+    s1 = FlagClass.basis(FL3, (2, 1, 3))
+    s2 = FlagClass.basis(FL3, (1, 3, 2))
     triple = flag_multiply(flag_multiply(s1, s2), s1)
     assert flag_integrate(triple) == 1
     assert flag_integrate(FlagClass.unit(FL3)) == 0
@@ -171,8 +171,8 @@ def test_structure_constants_s4_sample():
     rng = random.Random(5)
     for _ in range(30):
         u, v = rng.choice(perms), rng.choice(perms)
-        a = FlagClass.from_permutation(FL4, u)
-        b = FlagClass.from_permutation(FL4, v)
+        a = FlagClass.basis(FL4, u)
+        b = FlagClass.basis(FL4, v)
         ab = flag_multiply(a, b)
         assert ab == flag_multiply(b, a)
         for w, c in ab.terms.items():
@@ -181,7 +181,7 @@ def test_structure_constants_s4_sample():
 
 
 def test_monk_examples():
-    s2 = FlagClass.from_permutation(FL3, (1, 3, 2))
+    s2 = FlagClass.basis(FL3, (1, 3, 2))
     got = monk_multiply(1, s2)
     assert got.terms == {(2, 3, 1): 1, (3, 1, 2): 1}
     unit = FlagClass.unit(FL3)
@@ -193,11 +193,11 @@ def test_monk_examples():
 def test_monk_agrees_with_flag_multiply():
     for space, group in ((FL3, all_perms(3)), (FL4, all_perms(4))):
         for r in space.boundaries:
-            s_r = FlagClass.from_permutation(
+            s_r = FlagClass.basis(
                 space, perm_pad((*range(1, r), r + 1, r), space.n)
             )
             for w in group:
-                a = FlagClass.from_permutation(space, w)
+                a = FlagClass.basis(space, w)
                 assert monk_multiply(r, a) == flag_multiply(s_r, a), (r, w)
 
 
@@ -209,7 +209,7 @@ def test_grassmannian_dictionary(k, n):
     shapes = list(partitions_in_box(k, l))
 
     def lift(lam):
-        return FlagClass.from_osp(fl, partition_to_osp(lam, k, l))
+        return FlagClass.basis(fl, perm_from_osp(partition_to_osp(lam, k, l)))
 
     for lam in shapes:
         for mu in shapes:
@@ -226,7 +226,7 @@ def test_grassmannian_dictionary(k, n):
 @settings(max_examples=36)
 def test_flag_product_grading(u, v):
     prod = flag_multiply(
-        FlagClass.from_permutation(FL3, u), FlagClass.from_permutation(FL3, v)
+        FlagClass.basis(FL3, u), FlagClass.basis(FL3, v)
     )
     if perm_length(u) + perm_length(v) > FL3.complex_dimension:
         assert prod.is_zero()

@@ -38,7 +38,7 @@ def representatives(space):
 )
 def test_every_basis_pair_matches_the_oracle(dims):
     space = FlagDescriptor(dims)
-    basis = [FlagClass.from_permutation(space, w) for w in representatives(space)]
+    basis = [FlagClass.basis(space, w) for w in representatives(space)]
     for i, a in enumerate(basis):
         for b in basis[i:]:
             want = polynomial_product(a, b)
@@ -99,7 +99,7 @@ def test_divisor_volume_chain_matches_monk(n):
     space = FlagDescriptor((1,) * n)
     by_kernel = by_monk = FlagClass.unit(space)
     for r in range(1, n):
-        divisor = FlagClass.from_permutation(
+        divisor = FlagClass.basis(
             space, perm_pad((*range(1, r), r + 1, r), n)
         )
         for _ in range(r):

@@ -20,10 +20,9 @@ from schubcalc.halving import (
     real_lower_bound,
 )
 from schubcalc.indexing import (
-    osp_double,
-    osp_from_perm,
     partition_double,
     partitions_in_box,
+    perm_double,
 )
 
 GR8R16 = HalvingSpaceDescriptor.real_even_grassmannian(8, 16)
@@ -31,10 +30,6 @@ GR4R8 = HalvingSpaceDescriptor.real_even_grassmannian(4, 8)
 GR2H4 = HalvingSpaceDescriptor.quaternionic_grassmannian(2, 4)
 FL222R6 = HalvingSpaceDescriptor.real_even_flag((2, 2, 2))
 OCT = HalvingSpaceDescriptor.octonionic_flag()
-
-
-def doubled(w):
-    return osp_double(osp_from_perm(w, (1, 1, 1)))
 
 
 def test_descriptor_constructors():
@@ -79,9 +74,9 @@ def test_kappa_octonionic_two_steps():
     quat = kappa(a)
     assert isinstance(quat, HalvingClass)
     assert quat.space.kind == "quaternionic_flag"
-    assert quat.coefficient(((2,), (1,), (3,))) == 1
+    assert quat.coefficient((2, 1, 3)) == 1
     complex_img = kappa(quat)
-    assert complex_img == 2 * FlagClass.from_permutation(
+    assert complex_img == 2 * FlagClass.basis(
         FlagDescriptor((1, 1, 1)), (2, 1, 3)
     )
 
@@ -119,8 +114,8 @@ def _multi_term(space, keys):
         ),
         (
             FL222R6,
-            [doubled((2, 1, 3)), doubled((1, 3, 2)), doubled((1, 2, 3))],
-            [doubled((2, 3, 1)), doubled((3, 1, 2)), doubled((2, 1, 3))],
+            [perm_double((2, 1, 3)), perm_double((1, 3, 2)), perm_double((1, 2, 3))],
+            [perm_double((2, 3, 1)), perm_double((3, 1, 2)), perm_double((2, 1, 3))],
         ),
     ],
 )
@@ -151,10 +146,8 @@ def test_kappa_is_ring_homomorphism_flag():
     perms = [tuple(p) for p in itertools.permutations((1, 2, 3))]
     fl = FL222R6.fixed_point
     for u, v in itertools.product(perms, perms):
-        du = osp_double(osp_from_perm(u, (1, 1, 1)))
-        dv = osp_double(osp_from_perm(v, (1, 1, 1)))
-        a = HalvingClass.basis(FL222R6, du)
-        b = HalvingClass.basis(FL222R6, dv)
+        a = HalvingClass.basis(FL222R6, perm_double(u))
+        b = HalvingClass.basis(FL222R6, perm_double(v))
         left = kappa(real_double_multiply(a, b))
         right = flag_multiply(kappa(a), kappa(b))
         assert left == right, (u, v)
@@ -207,11 +200,11 @@ def test_real_lower_bound_flag_space():
     # four doubled length-1 conditions on the real (2,2,2) flag: the halved
     # problem multiplies four degree-1 classes in Fl(C^3), total degree 4
     # exceeds dimension 3, so a dimension mismatch is the right outcome
-    du = osp_double(osp_from_perm((2, 1, 3), (1, 1, 1)))
+    du = perm_double((2, 1, 3))
     with pytest.raises(DimensionMismatch):
         real_lower_bound(SchubertProblem(FL222R6, ((du, 4),)))
     # a filling choice: s1, s2, s1 with total length 3
-    dv = osp_double(osp_from_perm((1, 3, 2), (1, 1, 1)))
+    dv = perm_double((1, 3, 2))
     got = real_lower_bound(SchubertProblem(FL222R6, ((du, 2), (dv, 1))))
     assert got == 1
 

@@ -62,8 +62,12 @@ def test_index_forms():
     assert index_from_json(GR24, [2, 1]) == (2, 1)
     assert index_from_json(GR24, [1, 1, 0]) == (1, 1)
     assert index_from_json(FL3, [2, 1, 3]) == (2, 1, 3)
-    assert index_from_json(FL222R6, [[2, 4], [1, 3], [5, 6]]) == ((2, 4), (1, 3), (5, 6))
-    assert index_from_json(OCT, [2, 1]) == (2, 1)
+    assert index_from_json(FL3, [2, 1]) == (2, 1, 3)
+    assert index_from_json(FL222R6, [[2, 4], [1, 3], [5, 6]]) == (2, 4, 1, 3, 5, 6)
+    assert index_from_json(FL222R6, [4, 2, 3, 1, 6, 5]) == (2, 4, 1, 3, 5, 6)
+    assert index_from_json(OCT, [2, 1]) == (2, 1, 3)
+    assert index_from_json(OCT, [[2], [1], [3]]) == (2, 1, 3)
+    assert index_from_json(GR4R8, [4, 4]) == (4, 4)
 
 
 @pytest.mark.parametrize(
@@ -74,6 +78,13 @@ def test_index_forms():
         (GR24, "nope"),
         (FL3, [1, 1, 2]),
         (FL222R6, [[1, 1], [2]]),
+        (GR24, [3]),
+        (GR4R8, [5]),
+        (FlagDescriptor((2, 1)), [2, 1, 3]),
+        (FlagDescriptor((2, 1)), [[1, 2], [3], [4]]),
+        (FL222R6, [[1, 2], [3, 4, 5, 6]]),
+        (FL222R6, [[1.5, 2], [3, 4], [5, 6]]),
+        (OCT, [1, 2, 3, 4]),
     ],
 )
 def test_index_from_json_rejects(space, raw):
