@@ -23,7 +23,6 @@ from .flag import (
     FlagDescriptor,
     SchubertPolynomial,
     divided_difference,
-    expand_in_schubert_basis,
     flag_integrate,
     flag_multiply,
     monk_multiply,
@@ -59,10 +58,8 @@ from .schur import (
     jacobi_trudi,
     lr_coefficient,
     oracle_schur_polynomial,
-    pieri,
     schur_multiply,
 )
-from .selftest import run_selftest
 
 __version__ = "0.1.0"
 
@@ -110,8 +107,16 @@ __all__ = [
     "jacobi_trudi",
     "lr_coefficient",
     "oracle_schur_polynomial",
-    "pieri",
     "schur_multiply",
     "run_selftest",
     "__version__",
 ]
+
+
+def __getattr__(name):
+    # The self-test module is loaded on first use, not with the package.
+    if name in ("expand_in_schubert_basis", "run_selftest"):
+        from . import selftest
+
+        return getattr(selftest, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -24,7 +24,6 @@ from .grassmann import (
 )
 from .halving import REAL_EVEN, HalvingSpaceDescriptor, kappa
 from .schur import lr_coefficient
-from .selftest import run_selftest
 from .serialize import (
     TERM_KEYS,
     ProblemSchemaError,
@@ -232,6 +231,8 @@ def cmd_kappa(args):
 
 
 def cmd_selftest(args):
+    from .selftest import run_selftest
+
     return run_selftest(args.level)
 
 

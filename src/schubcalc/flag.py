@@ -10,11 +10,9 @@ the coinvariant ring (Macdonald, Notes on Schubert Polynomials, 1991), so the
 terms that leave S_n are dropped as they appear.
 
 Schubert polynomials come from divided differences of the staircase
-monomial. `expand_in_schubert_basis` writes a polynomial in the Schubert
-basis by triangular elimination; every elimination step re-checks that the
-basis polynomial it subtracts has the expected minimal monomial with
-coefficient one, so a convention slip raises instead of corrupting output.
-No product goes through it; it serves the self-test and the test oracle.
+monomial. Writing a polynomial back in the Schubert basis (triangular
+elimination) is no product's step; `expand_in_schubert_basis` does it in
+`selftest`, for the self-test and the test oracles.
 
 Classes are keyed by permutations only; ordered set partitions, the other
 name of a coset, are read and written in `serialize` alone.
@@ -23,14 +21,12 @@ name of a coset, are read and written in `serialize` alone.
 from dataclasses import dataclass
 
 from .combination import SparseCombination
-from .errors import SupportOutsideStaircase
 from .indexing import (
     identity_perm,
     is_minimal_rep,
     longest_perm,
     normalize_perm,
     perm_compose,
-    perm_from_code,
     perm_inverse,
     perm_length,
     perm_pad,
@@ -114,40 +110,6 @@ def schubert_polynomial(w):
         result = SchubertPolynomial(w, p)
     _schubert_table[w] = result
     return result
-
-
-def _staircase_check(p, n):
-    for exp in p.terms:
-        if len(exp) > n - 1 or any(e > n - 1 - idx for idx, e in enumerate(exp)):
-            raise SupportOutsideStaircase(
-                f"monomial {exp} is outside the staircase for S_{n}"
-            )
-
-
-def expand_in_schubert_basis(p, n):
-    """Write p as an integer combination of Schubert polynomials for S_n.
-
-    Triangular elimination on the lexicographically smallest monomial
-    (x_1 major): that monomial is x^code(w) for a unique w, and the Schubert
-    polynomial of w contains it with coefficient 1 and nothing smaller.
-    Subtracting peels one basis element per round.
-    """
-    _staircase_check(p, n)
-    out = {}
-    work = p
-    while not work.is_zero():
-        exp = min(work.terms)
-        c = work.terms[exp]
-        w = perm_from_code(exp)
-        basis = schubert_polynomial(w).poly
-        if min(basis.terms) != exp or basis.terms[exp] != 1:
-            raise AssertionError(
-                f"leading-monomial property failed for {w}; "
-                "term-order convention violated"
-            )
-        work = work - c * basis
-        out[perm_pad(w, n)] = c
-    return out
 
 
 @dataclass(frozen=True)

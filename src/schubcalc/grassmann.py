@@ -93,10 +93,8 @@ def gr_integrate(a):
 
 def poincare_dual(lam, space):
     """Rotated box complement; the unique partner pairing to 1."""
-    lam = normalize_partition(lam)
+    lam = GrassmannClass._key(space, lam)
     k, l = space.k, space.l
-    if not fits_in_box(lam, k, l):
-        raise BoxOverflow(f"partition {lam} does not fit in the {k}x{l} box")
     padded = lam + (0,) * (k - len(lam))
     return normalize_partition(tuple(l - padded[k - 1 - i] for i in range(k)))
 
@@ -131,9 +129,7 @@ def giambelli(lam, space):
     meaning the unit and lengths outside [0, l] meaning zero. Expanding the
     determinant by ring arithmetic must land back on the basis class.
     """
-    lam = normalize_partition(lam)
-    if not fits_in_box(lam, space.k, space.l):
-        raise BoxOverflow(f"partition {lam} does not fit on {space}")
+    lam = GrassmannClass._key(space, lam)
     d, l = len(lam), space.l
     rows = [chern_class("quot", p, space) for p in range(l + 1)]
     mat = []

@@ -105,14 +105,6 @@ def partition_halve(lam):
     return tuple(out)
 
 
-def is_doubled_partition(lam):
-    try:
-        partition_halve(lam)
-    except NotADouble:
-        return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # ordered set partitions
 # ---------------------------------------------------------------------------
@@ -139,67 +131,6 @@ def osp_block_sizes(osp):
     return tuple(len(b) for b in osp)
 
 
-def osp_length(osp):
-    """Number of inter-block inversions.
-
-    Pairs (a, b) with a in an earlier block, b in a later block and
-    a > b.  This is the codimension of the associated Schubert cell and
-    equals the Coxeter length of the minimal coset representative.
-    """
-    inv = 0
-    for i in range(len(osp)):
-        for j in range(i + 1, len(osp)):
-            for a in osp[i]:
-                for b in osp[j]:
-                    if a > b:
-                        inv += 1
-    return inv
-
-
-def osp_rank(osp, i, k):
-    """Rank function r(i, k): how much of {1..k} the first i blocks cover."""
-    if i < 0 or i > len(osp):
-        raise ValueError("block prefix index out of range: %d" % i)
-    count = 0
-    for b in osp[:i]:
-        for x in b:
-            if x <= k:
-                count += 1
-    return count
-
-
-def osp_double(osp):
-    """Replace every letter i by the pair 2i-1, 2i, block by block."""
-    return tuple(tuple(sorted(y for x in b for y in (2 * x - 1, 2 * x))) for b in osp)
-
-
-def osp_halve(osp):
-    """Inverse of osp_double.  Raises NotADouble if impossible."""
-    out = []
-    for b in osp:
-        if len(b) % 2 != 0:
-            raise NotADouble("odd block size in %r" % (osp,))
-        bs = []
-        seen = set(b)
-        for x in b:
-            if x % 2 == 1:
-                if x + 1 not in seen:
-                    raise NotADouble("letter %d is missing its partner %d" % (x, x + 1))
-                bs.append((x + 1) // 2)
-            elif x - 1 not in seen:
-                raise NotADouble("letter %d is missing its partner %d" % (x, x - 1))
-        out.append(tuple(sorted(bs)))
-    return tuple(out)
-
-
-def is_doubled_osp(osp):
-    try:
-        osp_halve(osp)
-    except NotADouble:
-        return False
-    return True
-
-
 def partition_to_osp(lam, k, l):
     """Partition in the k x l box -> two-block OSP of {1..k+l}.
 
@@ -214,15 +145,6 @@ def partition_to_osp(lam, k, l):
     first = tuple(padded[k - j] + j for j in range(1, k + 1))
     rest = tuple(x for x in range(1, k + l + 1) if x not in set(first))
     return (first, rest)
-
-
-def osp_to_partition(osp):
-    """Two-block OSP -> (partition, k, l), inverting partition_to_osp."""
-    if len(osp) != 2:
-        raise ValueError("partition dictionary needs exactly two blocks, got %d" % len(osp))
-    k, l = len(osp[0]), len(osp[1])
-    lam = tuple(osp[0][k - i] - (k + 1 - i) for i in range(1, k + 1))
-    return normalize_partition(lam), k, l
 
 
 # ---------------------------------------------------------------------------
@@ -291,13 +213,6 @@ def perm_swap_positions(w, i, j):
     return tuple(lst)
 
 
-def perm_code(w):
-    """Lehmer code: c_i counts the j > i with w(j) < w(i)."""
-    n = len(w)
-    code = tuple(sum(1 for j in range(i + 1, n) if w[j] < w[i]) for i in range(n))
-    return code
-
-
 def perm_from_code(code):
     """Rebuild the permutation with the given code (trailing zeros allowed)."""
     code = tuple(int(c) for c in code)
@@ -359,8 +274,9 @@ def osp_from_perm(w, dims):
 def perm_double(w):
     """Replace every letter i by the pair 2i-1, 2i.
 
-    The minimal coset representative of an OSP goes to that of its
-    osp_double, so doubling commutes with cutting into blocks.
+    The minimal coset representative of an OSP goes to that of the OSP
+    with every letter so replaced, so doubling commutes with cutting into
+    blocks.
     """
     return tuple(y for x in w for y in (2 * x - 1, 2 * x))
 

@@ -9,6 +9,7 @@ usual x1, x2, ... notation.  The linear arithmetic is the shared
 """
 
 from fractions import Fraction
+from operator import add
 
 from .combination import SparseCombination
 
@@ -23,9 +24,7 @@ def _strip(exps):
 def _add_exps(a, b):
     if len(a) < len(b):
         a, b = b, a
-    return a[:0] + tuple(
-        a[i] + (b[i] if i < len(b) else 0) for i in range(len(a))
-    )
+    return tuple(map(add, a, b)) + a[len(b):]
 
 
 class SparsePolynomial(SparseCombination):
@@ -86,26 +85,6 @@ class SparsePolynomial(SparseCombination):
     @classmethod
     def monomial(cls, exps, coeff=1):
         return cls({tuple(exps): coeff})
-
-    def nvars(self):
-        """Index of the last variable actually appearing."""
-        return max((len(e) for e in self.terms), default=0)
-
-    def total_degree(self):
-        return max((sum(e) for e in self.terms), default=0)
-
-    def swap_variables(self, i):
-        """Apply the transposition of x_i and x_{i+1} (i is 1-indexed)."""
-        out = {}
-        for e, c in self.terms.items():
-            a = e[i - 1] if i - 1 < len(e) else 0
-            b = e[i] if i < len(e) else 0
-            if a != b:
-                lst = list(e) + [0] * (i + 1 - len(e))
-                lst[i - 1], lst[i] = b, a
-                e = _strip(lst)
-            out[e] = out.get(e, 0) + c
-        return self._make(None, out)
 
     def __repr__(self):
         if not self.terms:

@@ -19,7 +19,8 @@ short of nu_i once letter i is placed; by c(lam, mu; nu) = c(mu, lam; nu)
 
 The former kernels, a per-box tableau count and one such count per
 candidate nu, are kept in tests/lr_oracle.py as oracles for the strip
-pass.  The independent reference for all of them is
+pass, next to the Pieri rule for one-row and one-column factors.  The
+independent reference for all of them is
 oracle_schur_polynomial: the actual Schur polynomial in n variables,
 built by enumerating semistandard tableaux as chains of horizontal strips
 and aggregating monomials by weight.  It shares no code with any kernel.
@@ -213,65 +214,6 @@ def schur_multiply(a, b):
             for nu, c in expand_basis_product(lam, mu):
                 out[nu] = out.get(nu, 0) + ca * cb * c
     return SchurExpansion._make(None, out)
-
-
-# ---------------------------------------------------------------------------
-# Pieri rules
-# ---------------------------------------------------------------------------
-
-
-def pieri(lam, p, kind="row"):
-    """Multiply s_lam by a full row (h_p) or a full column (e_p).
-
-    Row kind adds a horizontal strip of p boxes, column kind a vertical
-    strip.  Independent of the tableau counter, so it doubles as a
-    cross-check on products with one-line or one-column factors.
-    """
-    lam = normalize_partition(lam)
-    if p < 0:
-        raise ValueError("strip size must be nonnegative")
-    if kind not in ("row", "column"):
-        raise ValueError("kind must be 'row' or 'column'")
-    if p == 0:
-        return SchurExpansion.basis(lam)
-    out = {}
-    if kind == "row":
-        nrows = len(lam) + 1
-        lamp = lam + (0,) * (nrows - len(lam))
-
-        def rec(i, remaining, acc):
-            if i == nrows:
-                if remaining == 0:
-                    out[normalize_partition(acc)] = 1
-                return
-            lo = lamp[i]
-            hi = acc[i - 1] if i > 0 else lamp[0] + remaining
-            hi = min(hi, lamp[i] + remaining)
-            # stay a horizontal strip: row i cannot pass the row above it
-            if i > 0:
-                hi = min(hi, lam[i - 1] if i - 1 < len(lam) else 0)
-                hi = max(hi, lo)
-            for v in range(lo, hi + 1):
-                rec(i + 1, remaining - (v - lo), acc + [v])
-
-        rec(0, p, [])
-    else:
-        nrows = len(lam) + p
-        lamp = lam + (0,) * (nrows - len(lam))
-
-        def rec(i, remaining, acc):
-            if i == nrows:
-                if remaining == 0:
-                    out[normalize_partition(acc)] = 1
-                return
-            for add in (1, 0) if remaining > 0 else (0,):
-                v = lamp[i] + add
-                if i > 0 and v > acc[i - 1]:
-                    continue
-                rec(i + 1, remaining - add, acc + [v])
-
-        rec(0, p, [])
-    return SchurExpansion(out)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,11 @@ function shows up as a failing check rather than a silently wrong answer.
 
 The quick level runs in well under five seconds; the full level adds the
 larger flag and determinant suites.
+
+`expand_in_schubert_basis`, the inverse of the Schubert polynomial map,
+lives here because no product needs it: it checks flag products against
+expanded polynomial products, here and in the test oracles. The command
+line imports this module only for `schubcalc selftest`.
 """
 
 import sys
@@ -17,6 +22,7 @@ from . import grassmann as gr_mod
 from . import halving as halving_mod
 from . import indexing as indexing_mod
 from . import schur as schur_mod
+from .errors import SupportOutsideStaircase
 
 
 def _fail(message):
@@ -26,6 +32,41 @@ def _fail(message):
 def _expect(got, want, label):
     if got != want:
         _fail(f"{label}: got {got!r}, expected {want!r}")
+
+
+def _staircase_check(p, n):
+    for exp in p.terms:
+        if len(exp) > n - 1 or any(e > n - 1 - idx for idx, e in enumerate(exp)):
+            raise SupportOutsideStaircase(
+                f"monomial {exp} is outside the staircase for S_{n}"
+            )
+
+
+def expand_in_schubert_basis(p, n):
+    """Write p as an integer combination of Schubert polynomials for S_n.
+
+    Triangular elimination on the lexicographically smallest monomial
+    (x_1 major): that monomial is x^code(w) for a unique w, and the Schubert
+    polynomial of w contains it with coefficient 1 and nothing smaller.
+    Subtracting peels one basis element per round; every round re-checks
+    that property, so a convention slip raises instead of a wrong answer.
+    """
+    _staircase_check(p, n)
+    out = {}
+    work = p
+    while not work.is_zero():
+        exp = min(work.terms)
+        c = work.terms[exp]
+        w = indexing_mod.perm_from_code(exp)
+        basis = flag_mod.schubert_polynomial(w).poly
+        if min(basis.terms) != exp or basis.terms[exp] != 1:
+            raise AssertionError(
+                f"leading-monomial property failed for {w}; "
+                "term-order convention violated"
+            )
+        work = work - c * basis
+        out[indexing_mod.perm_pad(w, n)] = c
+    return out
 
 
 def _check_lr_values():
@@ -174,7 +215,7 @@ def _check_flag_polynomials():
         for v in perms:
             product = pu * flag_mod.schubert_polynomial(v).poly
             want = {}
-            for w, c in flag_mod.expand_in_schubert_basis(product, 2 * n - 1).items():
+            for w, c in expand_in_schubert_basis(product, 2 * n - 1).items():
                 w = indexing_mod.perm_strip(w)
                 if len(w) <= n:
                     want[indexing_mod.perm_pad(w, n)] = c

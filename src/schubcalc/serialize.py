@@ -7,7 +7,8 @@ partitions are read and written only in this module. Index errors become
 
 Output is deterministic: term lists are sorted by (degree, index) and all
 term coefficients are decimal strings, so arbitrarily large integers and
-rational halving coefficients travel without width ambiguity. Input
+rational halving coefficients travel without width ambiguity. They are
+written by `decimal_text`, which has no digit limit. Input
 coefficients take exactly those forms, a JSON integer or a string `-?N` or
 `-?N/D`. Top-level integer results stay JSON numbers while they fit in 63
 bits and become decimal strings beyond that.
@@ -38,6 +39,10 @@ from .indexing import (
 from .schur import SchurExpansion
 
 INT63 = 2 ** 63
+# str() of an int refuses more than sys.get_int_max_str_digits() digits
+# (4300 by default since 3.11); decimal_text writes pieces far below that.
+_PIECE_DIGITS = 1000
+_PIECE = 10 ** _PIECE_DIGITS
 TERM_KEYS = ("partition", "permutation", "osp", "index")
 _COEFFICIENT = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
 
@@ -46,9 +51,25 @@ class ProblemSchemaError(Exception):
     """The input does not match the problem-file schema."""
 
 
+def decimal_text(x):
+    """The exact decimal form of an int or a Fraction (`-?N` or `-?N/D`)."""
+    if isinstance(x, Fraction):
+        if x.denominator != 1:
+            return f"{decimal_text(x.numerator)}/{decimal_text(x.denominator)}"
+        x = x.numerator
+    if x < 0:
+        return "-" + decimal_text(-x)
+    pieces = []
+    while x >= _PIECE:
+        x, r = divmod(x, _PIECE)
+        pieces.append(f"{r:0{_PIECE_DIGITS}d}")
+    pieces.append(str(x))
+    return "".join(reversed(pieces))
+
+
 def result_to_json(x):
     if isinstance(x, int) and not -INT63 < x < INT63:
-        return str(x)
+        return decimal_text(x)
     return x
 
 
@@ -177,7 +198,7 @@ def index_to_json(index):
 
 
 def _term_entry(key_name, index, coeff):
-    return {key_name: index_to_json(index), "coeff": str(coeff)}
+    return {key_name: index_to_json(index), "coeff": decimal_text(coeff)}
 
 
 def _term_key_name(a):

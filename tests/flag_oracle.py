@@ -8,8 +8,9 @@ This was the product kernel before `schubcalc.flag.flag_multiply` moved to
 Monk's rule inside S_n; the two share only `schubert_polynomial`.
 """
 
-from schubcalc.flag import FlagClass, expand_in_schubert_basis, schubert_polynomial
+from schubcalc.flag import FlagClass, schubert_polynomial
 from schubcalc.indexing import is_minimal_rep, perm_pad, perm_strip
+from schubcalc.selftest import expand_in_schubert_basis
 
 
 def ambient_size(p, n):

@@ -5,11 +5,13 @@ box at a time; it was `lr_coefficient`'s kernel before the strip pass
 capped by nu replaced it.  `expand_by_candidates` lists every partition
 nu that could occur in s_lam * s_mu (inside the box when one is given)
 and counts each with `count_lr_tableaux`; it was the product kernel
-before the one-pass strip expansion.  Neither shares code with
-`schubcalc.schur`'s strip pass.
+before the one-pass strip expansion.  `pieri` multiplies by a single row
+or column, the case the Pieri rule settles without tableaux.  None of
+them shares code with `schubcalc.schur`'s strip pass.
 """
 
-from schubcalc.indexing import partition_contains, partition_size
+from schubcalc.indexing import normalize_partition, partition_contains, partition_size
+from schubcalc.schur import SchurExpansion
 
 
 def count_lr_tableaux(lam, mu, nu):
@@ -125,3 +127,57 @@ def expand_by_candidates(lam, mu, rows=None, cols=None):
         if c:
             out.append((nu, c))
     return tuple(out)
+
+
+def pieri(lam, p, kind="row"):
+    """Multiply s_lam by a full row (h_p) or a full column (e_p).
+
+    Row kind adds a horizontal strip of p boxes, column kind a vertical
+    strip.  Independent of the strip pass, so it cross-checks products
+    with one-row or one-column factors.
+    """
+    lam = normalize_partition(lam)
+    if p < 0:
+        raise ValueError("strip size must be nonnegative")
+    if kind not in ("row", "column"):
+        raise ValueError("kind must be 'row' or 'column'")
+    if p == 0:
+        return SchurExpansion.basis(lam)
+    out = {}
+    if kind == "row":
+        nrows = len(lam) + 1
+        lamp = lam + (0,) * (nrows - len(lam))
+
+        def rec(i, remaining, acc):
+            if i == nrows:
+                if remaining == 0:
+                    out[normalize_partition(acc)] = 1
+                return
+            lo = lamp[i]
+            hi = acc[i - 1] if i > 0 else lamp[0] + remaining
+            hi = min(hi, lamp[i] + remaining)
+            # stay a horizontal strip: row i cannot pass the row above it
+            if i > 0:
+                hi = min(hi, lam[i - 1] if i - 1 < len(lam) else 0)
+                hi = max(hi, lo)
+            for v in range(lo, hi + 1):
+                rec(i + 1, remaining - (v - lo), acc + [v])
+
+        rec(0, p, [])
+    else:
+        nrows = len(lam) + p
+        lamp = lam + (0,) * (nrows - len(lam))
+
+        def rec(i, remaining, acc):
+            if i == nrows:
+                if remaining == 0:
+                    out[normalize_partition(acc)] = 1
+                return
+            for add in (1, 0) if remaining > 0 else (0,):
+                v = lamp[i] + add
+                if i > 0 and v > acc[i - 1]:
+                    continue
+                rec(i + 1, remaining - add, acc + [v])
+
+        rec(0, p, [])
+    return SchurExpansion(out)

@@ -180,6 +180,28 @@ def test_oversized_json_integers_end_cleanly(capsys, tmp_path):
     assert "Traceback" not in err
 
 
+def test_coefficients_past_the_str_digit_limit_are_written_exactly(capsys):
+    # str() of an int refuses more than 4300 digits on 3.11+; the output
+    # writer has no such limit, while input keeps it (test above)
+    factor = json.dumps({"terms": [{"partition": [1], "coeff": "9" * 3000}]})
+    code, out, err = run_cli(capsys, ["mult", "--space", json.dumps(GR24), factor, factor])
+    assert code == 0, err
+    square = "9" * 2999 + "8" + "0" * 2999 + "1"  # (10^3000 - 1)^2
+    assert json.loads(out)["result"]["terms"] == [
+        {"partition": [1, 1], "coeff": square},
+        {"partition": [2], "coeff": square},
+    ]
+    cls = json.dumps({"terms": [{"partition": [4, 4, 4, 4], "coeff": "9" * 4299}]})
+    code, out, err = run_cli(capsys, ["kappa", "--space", json.dumps(GR4R8), cls])
+    assert code == 0, err
+    report = json.loads(out)
+    assert report["input"]["class"]["terms"][0]["coeff"] == "9" * 4299
+    # 2^|(2, 2)| (10^4299 - 1) = 16 * 10^4299 - 16
+    assert report["result"]["terms"] == [
+        {"partition": [2, 2], "coeff": "15" + "9" * 4297 + "84"}
+    ]
+
+
 def test_solve_skips_work_the_degree_rules_out(capsys, tmp_path):
     # A count of 10**12 must be settled by the degree check alone: nothing
     # may be multiplied once per count.
@@ -517,6 +539,19 @@ def test_selftest_detects_mutation(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert code == 1
     assert "FAIL" in out
+
+
+def test_importing_the_cli_leaves_the_selftest_unloaded():
+    # the self-test suites load only for `schubcalc selftest`, yet the
+    # package still serves run_selftest
+    script = (
+        "import sys, schubcalc.cli\n"
+        "assert 'schubcalc.selftest' not in sys.modules, sorted(sys.modules)\n"
+        "import schubcalc\n"
+        "assert schubcalc.run_selftest.__module__ == 'schubcalc.selftest'\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_module_entry_point(tmp_path):

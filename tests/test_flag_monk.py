@@ -14,7 +14,6 @@ from schubcalc.flag import (
     FlagClass,
     FlagDescriptor,
     _times_variable,
-    expand_in_schubert_basis,
     flag_integrate,
     flag_multiply,
     monk_multiply,
@@ -22,6 +21,7 @@ from schubcalc.flag import (
 )
 from schubcalc.indexing import is_minimal_rep, perm_length, perm_pad, perm_strip
 from schubcalc.poly import SparsePolynomial
+from schubcalc.selftest import expand_in_schubert_basis
 
 from flag_oracle import polynomial_product
 

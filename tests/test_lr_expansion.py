@@ -2,9 +2,9 @@
 
 import pytest
 
-from lr_oracle import count_lr_tableaux, expand_by_candidates
+from lr_oracle import count_lr_tableaux, expand_by_candidates, pieri
 from schubcalc.indexing import partition_contains, partitions_in_box, partitions_of
-from schubcalc.schur import expand_basis_product, lr_coefficient, pieri
+from schubcalc.schur import expand_basis_product, lr_coefficient
 
 SMALL = [()] + [lam for size in range(1, 7) for lam in partitions_of(size)]
 

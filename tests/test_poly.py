@@ -47,20 +47,12 @@ def test_trailing_zero_insensitivity():
     assert SparsePolynomial({(2, 0): 1}) == SparsePolynomial({(2,): 1})
     p = SparsePolynomial({(1, 1, 0, 0): 3})
     assert p.coefficient((1, 1)) == 3
-    assert p.nvars() == 2
-
-
-def test_swap_variables():
-    p = x(1) ** 2 * x(2) + x(3)
-    assert p.swap_variables(1) == x(2) ** 2 * x(1) + x(3)
-    assert p.swap_variables(2) == x(1) ** 2 * x(3) + x(2)
-    # swapping past the support is a no-op
-    assert p.swap_variables(5) == p
 
 
 def test_degree_and_repr():
-    p = x(1) * x(2) ** 2 + 1
-    assert p.total_degree() == 3
+    p = x(1) * x(2) ** 2 + x(3) ** 2 + 1
+    # terms are ordered by total degree first, then by exponents
+    assert [e for e, _ in p.sorted_terms()] == [(), (0, 0, 2), (1, 2)]
     assert "x1" in repr(p)
     assert repr(Fraction(1, 2) * x(1) - 3 * x(2) ** 2) == "1/2*x1 - 3*x2^2"
 
@@ -75,8 +67,3 @@ def test_ring_axioms(a, b, c):
     assert a + SparsePolynomial.zero() == a
     assert a * SparsePolynomial.one() == a
     assert a - a == SparsePolynomial.zero()
-
-
-@given(poly_strategy(), st.integers(1, 4))
-def test_swap_is_involution(p, i):
-    assert p.swap_variables(i).swap_variables(i) == p

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from det_oracle import oracle_determinant
+from lr_oracle import pieri
 from schubcalc.indexing import (
     partition_conjugate,
     partition_size,
@@ -24,7 +25,6 @@ from schubcalc.schur import (
     lr_coefficient,
     oracle_cache_clear,
     oracle_schur_polynomial,
-    pieri,
     ring_determinant,
     schur_multiply,
 )

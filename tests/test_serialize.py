@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from schubcalc.flag import FlagClass, FlagDescriptor
@@ -7,6 +9,7 @@ from schubcalc.schur import SchurExpansion
 from schubcalc.serialize import (
     ProblemSchemaError,
     class_to_json,
+    decimal_text,
     index_from_json,
     parse_problem,
     result_to_json,
@@ -140,6 +143,29 @@ def test_result_bigint_threshold():
     assert result_to_json(2 ** 63) == str(2 ** 63)
     assert result_to_json(-(2 ** 63)) == str(-(2 ** 63))
     assert result_to_json({"terms": []}) == {"terms": []}
+
+
+def _read_decimal(text):
+    """Parse `-?N` in 700-digit pieces, each below the str() digit limit."""
+    digits = text.removeprefix("-")
+    value = 0
+    for i in range(0, len(digits), 700):
+        piece = digits[i:i + 700]
+        value = value * 10 ** len(piece) + int(piece)
+    return -value if text.startswith("-") else value
+
+
+def test_decimal_text_has_no_digit_limit():
+    for x in (0, 7, -7, 10 ** 1000 - 1, 10 ** 1000, 10 ** 4300, -(3 ** 20000)):
+        text = decimal_text(x)
+        assert _read_decimal(text) == x
+        assert text.removeprefix("-")[0] != "0" or x == 0
+    assert decimal_text(Fraction(6, 3)) == "2"
+    assert decimal_text(Fraction(-7, 2)) == "-7/2"
+    x = Fraction(-(3 ** 9001), 2 ** 15000)
+    num, den = decimal_text(x).split("/")
+    assert Fraction(_read_decimal(num), _read_decimal(den)) == x
+    assert result_to_json(-(3 ** 9001)) == decimal_text(-(3 ** 9001))
 
 
 def test_parse_problem_defaults_by_family():
