@@ -16,9 +16,35 @@ everything linear lives here once:
 The public constructor validates every key. Results of arithmetic and of
 the product kernels are built with `_make`, which trusts its keys because
 they come out of canonical keys already.
+
+`decimal_text` writes a coefficient exactly, however many digits it has,
+for output and for error messages alike.
 """
 
+from fractions import Fraction
+
 from .errors import SpaceMismatch
+
+# str() of an int refuses more than sys.get_int_max_str_digits() digits
+# (4300 by default since 3.11); decimal_text writes pieces far below that.
+_PIECE_DIGITS = 1000
+_PIECE = 10 ** _PIECE_DIGITS
+
+
+def decimal_text(x):
+    """The exact decimal form of an int or a Fraction (`-?N` or `-?N/D`)."""
+    if isinstance(x, Fraction):
+        if x.denominator != 1:
+            return f"{decimal_text(x.numerator)}/{decimal_text(x.denominator)}"
+        x = x.numerator
+    if x < 0:
+        return "-" + decimal_text(-x)
+    pieces = []
+    while x >= _PIECE:
+        x, r = divmod(x, _PIECE)
+        pieces.append(f"{r:0{_PIECE_DIGITS}d}")
+    pieces.append(str(x))
+    return "".join(reversed(pieces))
 
 
 class SparseCombination:
@@ -73,6 +99,14 @@ class SparseCombination:
         rank = self._rank
         return sorted(self.terms.items(), key=lambda t: (rank(t[0]), t[0]))
 
+    def _cheaper_than(self, other):
+        """True when self has fewer terms than other, or as many and a lower
+        top degree: the cheaper factor to take term by term in a product."""
+        if len(self.terms) != len(other.terms):
+            return len(self.terms) < len(other.terms)
+        top = max(map(self._rank, self.terms), default=0)
+        return top < max(map(other._rank, other.terms), default=0)
+
     def _check_space(self, other):
         if self.space != other.space:
             raise SpaceMismatch(f"{self.space} vs {other.space}")
@@ -100,8 +134,10 @@ class SparseCombination:
     def __pow__(self, m):
         if m < 0:
             raise ValueError("negative power")
-        out = self.unit(self.space)
-        for _ in range(m):
+        if m == 0:
+            return self.unit(self.space)
+        out = self
+        for _ in range(m - 1):
             out = out._product(self)
         return out
 

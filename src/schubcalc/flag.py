@@ -243,14 +243,6 @@ def _monomial_times(exp, memo, n):
     return terms
 
 
-def _cheaper_to_expand(a, b):
-    """True when a is the cheaper factor to write as a polynomial."""
-    if len(a.terms) != len(b.terms):
-        return len(a.terms) < len(b.terms)
-    top_a = max(map(perm_length, a.terms), default=0)
-    return top_a < max(map(perm_length, b.terms), default=0)
-
-
 def flag_multiply(a, b):
     """Product in H*(Fl_D(C^n)), computed inside S_n by Monk's rule.
 
@@ -264,7 +256,7 @@ def flag_multiply(a, b):
     closed under products), which is asserted rather than assumed.
     """
     a._check_space(b)
-    if _cheaper_to_expand(a, b):
+    if a._cheaper_than(b):
         a, b = b, a
     poly = SparsePolynomial()
     for v, c in b.terms.items():

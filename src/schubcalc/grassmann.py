@@ -1,9 +1,10 @@
 """Cohomology of complex Grassmannians in the Schubert basis.
 
 Classes on Gr_k(C^n) are integer combinations of Schubert classes indexed
-by partitions inside the k x (n-k) box. Products reduce to Schur expansion
-followed by discarding anything that leaves the box; integration reads off
-the coefficient of the full-box (point) class.
+by partitions inside the k x (n-k) box. A product runs the LR strip pass
+once per term of one factor, seeded with the whole other class and capped
+at the box, so nothing that leaves the box is ever built; integration
+reads off the coefficient of the full-box (point) class.
 """
 
 from dataclasses import dataclass
@@ -16,7 +17,7 @@ from .errors import (
     MissingChernDegree,
 )
 from .indexing import fits_in_box, normalize_partition, partition_size
-from .schur import expand_basis_product, ring_determinant
+from .schur import _strip_pass, ring_determinant
 
 
 @dataclass(frozen=True)
@@ -70,15 +71,24 @@ class GrassmannClass(SparseCombination):
 
 
 def gr_multiply(a, b):
-    """Product in H*(Gr_k(C^n)): LR expansion truncated to the box."""
+    """Product in H*(Gr_k(C^n)): LR expansion truncated to the box.
+
+    One strip pass per term mu of the factor with fewer terms (then lower
+    degree), seeded with every term of the other factor scaled by mu's
+    coefficient, so partial tableaux from different terms merge.  Shapes
+    never shrink, so capping every state at the box drops exactly the
+    terms that leave it.
+    """
     a._check_space(b)
     space = a.space
+    if a._cheaper_than(b):
+        a, b = b, a
+    caps = (space.l,) * space.k
     out = {}
-    for lam, ca in a.terms.items():
-        for mu, cb in b.terms.items():
-            c = ca * cb
-            for nu, m in expand_basis_product(lam, mu, rows=space.k, cols=space.l):
-                out[nu] = out.get(nu, 0) + c * m
+    for mu, c in b.terms.items():
+        seeds = {lam: c * ca for lam, ca in a.terms.items()}
+        for nu, m in _strip_pass(seeds, mu, caps, False).items():
+            out[nu] = out.get(nu, 0) + m
     return GrassmannClass._make(space, out)
 
 

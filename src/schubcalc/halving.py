@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .combination import SparseCombination
+from .combination import SparseCombination, decimal_text
 from .errors import (
     DimensionMismatch,
     NotADouble,
@@ -220,7 +220,9 @@ def kappa(a):
         key = _halve(space, index)
         c *= 2 ** ring._rank(key)
         if c.denominator != 1:
-            raise ValueError(f"coefficient {c} of {key} is not an integer")
+            raise ValueError(
+                f"coefficient {decimal_text(c)} of {key} is not an integer"
+            )
         terms[key] = int(c)
     return ring._make(fp, terms)
 
@@ -291,7 +293,8 @@ def _multiply_conditions(space, conditions, count_mode, what="conditions"):
     equal the dimension and the point-class coefficient is returned; in
     class mode the product class is returned, and a degree above the
     dimension gives the zero class at once. Degree-0 conditions are the unit
-    and are skipped, so no more than `dim` products are taken.
+    and are skipped, and the product starts from the first condition, so
+    fewer than `dim` products are taken.
     """
     fp = space.fixed_point if isinstance(space, HalvingSpaceDescriptor) else space
     ring, integrate = _complex_ring(fp)
@@ -309,10 +312,12 @@ def _multiply_conditions(space, conditions, count_mode, what="conditions"):
         )
     if total > dim:
         return ring.zero(fp)
-    product = ring.unit(fp)
+    product = None
     for base, count in factors:
         for _ in range(count):
-            product = product * base
+            product = base if product is None else product * base
+    if product is None:
+        product = ring.unit(fp)
     return integrate(product) if count_mode else product
 
 

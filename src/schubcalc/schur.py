@@ -9,17 +9,23 @@ tableaux with the same shape and the same last strip are merged, so the
 work follows the distinct shapes inside the caps rather than the tableaux
 (Fulton, Young Tableaux, ch. 5; the scheme of Buch's lrcalc).
 
-Products (expand_basis_product, behind schur_multiply and Grassmannian
-multiplication) cap every row at the box, or at lam_1 + mu_1, and yield
-every nu at once; the letters come from the factor with the smaller
-content.  A single coefficient (lr_coefficient) caps row r at nu_r, so
-only shapes inside nu are visited, and drops a shape whose row i is still
-short of nu_i once letter i is placed; by c(lam, mu; nu) = c(mu, lam; nu)
-= c(lam', mu'; nu') the letters come from the factor with the fewest rows.
+The pass starts from a layer of seed shapes with coefficients, so one
+pass can multiply a whole class by s_mu: Grassmannian multiplication
+(grassmann.gr_multiply) runs one pass per term of one factor, seeded with
+every term of the other and capped at the box, and partial tableaux from
+different seeds merge as well.  expand_basis_product, one cached pair of
+Schur functions with the letters from the factor with the smaller content
+and every row capped at the box or at lam_1 + mu_1, serves schur_multiply
+and the test oracles.  A single coefficient (lr_coefficient) caps row r
+at nu_r, so only shapes inside nu are visited, and drops a shape whose
+row i is still short of nu_i once letter i is placed; by c(lam, mu; nu) =
+c(mu, lam; nu) = c(lam', mu'; nu') the letters come from the factor with
+the fewest rows.
 
-The former kernels, a per-box tableau count and one such count per
-candidate nu, are kept in tests/lr_oracle.py as oracles for the strip
-pass, next to the Pieri rule for one-row and one-column factors.  The
+The former kernels, a per-box tableau count, one such count per
+candidate nu and the Grassmannian product one pair of terms at a time,
+are kept in tests/lr_oracle.py as oracles for the strip pass, next to
+the Pieri rule for one-row and one-column factors.  The
 independent reference for all of them is
 oracle_schur_polynomial: the actual Schur polynomial in n variables,
 built by enumerating semistandard tableaux as chains of horizontal strips
@@ -60,7 +66,7 @@ def lr_coefficient(lam, mu, nu):
         lam, mu, nu = (partition_conjugate(p) for p in (lam, mu, nu))
     if len(mu) > len(lam):
         lam, mu = mu, lam
-    return _strip_pass(lam, mu, nu, True).get(nu, 0)
+    return _strip_pass({lam: 1}, mu, nu, True).get(nu, 0)
 
 
 def _strips(shape, prev, size, caps):
@@ -78,18 +84,22 @@ def _strips(shape, prev, size, caps):
     # seen: the previous letter's boxes in the rows above row r
     seen = size if prev is None else 0
     prev = prev or ()
-    for r in range(min(len(shape) + 1, len(caps))):
-        here = shape[r] if r < len(shape) else 0
-        while k < len(prev) and prev[k][0] < r:
+    n, m = len(shape), len(prev)
+    for r in range(min(n + 1, len(caps))):
+        here = shape[r] if r < n else 0
+        while k < m and prev[k][0] < r:
             seen += prev[k][1]
             k += 1
-        if above > caps[r]:
-            above = caps[r]
+        cap = caps[r]
+        if above > cap:
+            above = cap
         if above > here and seen:
             rows.append(r)
             room.append(min(above - here, seen))
             limit.append(seen)
         above = here
+    if size == 1:
+        return [((r, 1),) for r in rows]
     tail = [0] * (len(rows) + 1)
     for j in range(len(rows) - 1, -1, -1):
         tail[j] = tail[j + 1] + room[j]
@@ -114,24 +124,29 @@ def _strips(shape, prev, size, caps):
     return out
 
 
-def _strip_pass(lam, mu, caps, fill):
-    """{nu: c_{lam,mu}^nu} for every nu with at most caps[r] boxes in row r;
-    with `fill`, only nu = caps is wanted.
+def _strip_pass(seeds, mu, caps, fill):
+    """{nu: sum of c * c_{lam,mu}^nu over the seeds lam: c} for every nu
+    with at most caps[r] boxes in row r; with `fill`, only nu = caps is
+    wanted.
 
-    Starting from lam, the letters of mu are added one at a time, each as
-    a horizontal strip that keeps the lattice condition, and partial
-    tableaux that reach the same shape with the same last strip are merged
-    with their multiplicities added.
+    Starting from every seed shape at once, the letters of mu are added one
+    at a time, each as a horizontal strip that keeps the lattice condition,
+    and partial tableaux that reach the same shape with the same last strip
+    are merged with their multiplicities added, whichever seed they came
+    from.  A state whose multiplicity cancels to zero is not extended.
     """
-    layer = {(lam, None): 1}
+    layer = {(lam, None): c for lam, c in seeds.items()}
     for i, size in enumerate(mu):
         keep = i + 1 < len(mu)
         nxt = {}
         for (shape, prev), mult in layer.items():
+            if not mult:
+                continue
+            n = len(shape)
             for strip in _strips(shape, prev, size, caps):
                 new = list(shape)
                 for r, a in strip:
-                    if r < len(new):
+                    if r < n:
                         new[r] += a
                     else:
                         new.append(a)
@@ -168,7 +183,7 @@ def expand_basis_product(lam, mu, rows=None, cols=None):
         width = min(width, cols)
     if len(lam) > nrows or lam[0] > width:
         return ()
-    layer = _strip_pass(lam, mu, (width,) * nrows, False)
+    layer = _strip_pass({lam: 1}, mu, (width,) * nrows, False)
     return tuple(sorted(layer.items(), reverse=True))
 
 

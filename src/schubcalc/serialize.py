@@ -18,6 +18,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .combination import decimal_text
 from .errors import BoxOverflow
 from .flag import FlagClass, FlagDescriptor
 from .grassmann import GrassmannClass, GrassmannianDescriptor
@@ -39,32 +40,12 @@ from .indexing import (
 from .schur import SchurExpansion
 
 INT63 = 2 ** 63
-# str() of an int refuses more than sys.get_int_max_str_digits() digits
-# (4300 by default since 3.11); decimal_text writes pieces far below that.
-_PIECE_DIGITS = 1000
-_PIECE = 10 ** _PIECE_DIGITS
 TERM_KEYS = ("partition", "permutation", "osp", "index")
 _COEFFICIENT = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
 
 
 class ProblemSchemaError(Exception):
     """The input does not match the problem-file schema."""
-
-
-def decimal_text(x):
-    """The exact decimal form of an int or a Fraction (`-?N` or `-?N/D`)."""
-    if isinstance(x, Fraction):
-        if x.denominator != 1:
-            return f"{decimal_text(x.numerator)}/{decimal_text(x.denominator)}"
-        x = x.numerator
-    if x < 0:
-        return "-" + decimal_text(-x)
-    pieces = []
-    while x >= _PIECE:
-        x, r = divmod(x, _PIECE)
-        pieces.append(f"{r:0{_PIECE_DIGITS}d}")
-    pieces.append(str(x))
-    return "".join(reversed(pieces))
 
 
 def result_to_json(x):

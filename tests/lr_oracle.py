@@ -8,10 +8,17 @@ and counts each with `count_lr_tableaux`; it was the product kernel
 before the one-pass strip expansion.  `pieri` multiplies by a single row
 or column, the case the Pieri rule settles without tableaux.  None of
 them shares code with `schubcalc.schur`'s strip pass.
+
+`gr_multiply_by_pairs` is the Grassmannian product one pair of terms at a
+time, through `expand_basis_product`; it was `gr_multiply` before one
+strip pass per factor term, seeded with the whole other class, replaced
+it.  It shares the strip pass but none of the seeding and merging across
+terms, which is what it checks.
 """
 
+from schubcalc.grassmann import GrassmannClass
 from schubcalc.indexing import normalize_partition, partition_contains, partition_size
-from schubcalc.schur import SchurExpansion
+from schubcalc.schur import SchurExpansion, expand_basis_product
 
 
 def count_lr_tableaux(lam, mu, nu):
@@ -127,6 +134,18 @@ def expand_by_candidates(lam, mu, rows=None, cols=None):
         if c:
             out.append((nu, c))
     return tuple(out)
+
+
+def gr_multiply_by_pairs(a, b):
+    """Product in H*(Gr_k(C^n)) as the sum, over pairs of terms, of the
+    LR expansion of each pair truncated to the k x l box."""
+    space = a.space
+    out = {}
+    for lam, ca in a.terms.items():
+        for mu, cb in b.terms.items():
+            for nu, m in expand_basis_product(lam, mu, rows=space.k, cols=space.l):
+                out[nu] = out.get(nu, 0) + ca * cb * m
+    return GrassmannClass(space, out)
 
 
 def pieri(lam, p, kind="row"):

@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import subprocess
@@ -17,6 +18,7 @@ from schubcalc.selftest import run_selftest
 from schubcalc.serialize import parse_problem
 
 GR24 = {"type": "complex_grassmannian", "k": 2, "n": 4}
+GR36 = {"type": "complex_grassmannian", "k": 3, "n": 6}
 GR48 = {"type": "complex_grassmannian", "k": 4, "n": 8}
 GR4R8 = {"type": "real_even_grassmannian", "k": 4, "n": 8}
 GR6R8 = {"type": "real_even_grassmannian", "k": 6, "n": 8}
@@ -217,6 +219,14 @@ def test_solve_skips_work_the_degree_rules_out(capsys, tmp_path):
     assert code == 0, err
     assert json.loads(out)["result"] == 2
 
+    # only degree-0 conditions: the product is the unit class
+    payload = problem(GR24, [{"index": []}, {"index": [0], "count": 10**12}], mode="class")
+    code, out, err = solve_json(capsys, tmp_path, payload)
+    assert code == 0, err
+    assert json.loads(out)["result"] == {
+        "space": GR24, "terms": [{"partition": [], "coeff": "1"}]
+    }
+
 
 def test_solve_octonionic_short_permutation(capsys, tmp_path):
     # [2, 1] is the permutation [2, 1, 3] of the three letters, and so is the
@@ -244,6 +254,22 @@ def test_solve_divisor_volume_in_either_order(capsys, tmp_path):
         code, out, err = solve_json(capsys, tmp_path, problem(space, order))
         assert code == 0, err
         assert json.loads(out)["result"] == 1
+
+
+def test_solve_class_mode_in_every_condition_order(capsys, tmp_path):
+    # [1], [2, 1] and [1, 1] on Gr(3, 6), listed in all six orders
+    conditions = [{"index": [1]}, {"index": [2, 1]}, {"index": [1, 1]}]
+    outputs = set()
+    for order in itertools.permutations(conditions):
+        payload = problem(GR36, list(order), mode="class")
+        code, out, err = solve_json(capsys, tmp_path, payload, "--format", "text")
+        assert code == 0, err
+        outputs.add(out)
+    assert outputs == {
+        "result: s[2, 2, 2] + 3*s[3, 2, 1] + s[3, 3]\n"
+        "provenance: expanded the condition product in the Schubert basis"
+        " of the ambient space\n"
+    }
 
 
 def test_unmapped_domain_error_exits_three(monkeypatch, capsys, tmp_path):
@@ -519,6 +545,16 @@ def test_kappa_non_integral_image_exits_two(capsys):
     assert code == 2
     assert out == ""
     assert "error:" in err and "not an integer" in err
+
+
+def test_kappa_non_integral_image_past_the_str_digit_limit_is_named(capsys):
+    # the error message writes the coefficient with decimal_text, as output does
+    cls = json.dumps({"terms": [{"partition": [4, 4, 4, 4], "coeff": "9" * 4299 + "/7"}]})
+    code, out, err = run_cli(capsys, ["kappa", "--space", json.dumps(GR4R8), cls])
+    assert code == 2
+    assert out == ""
+    # 2^|(2, 2)| (10^4299 - 1) / 7
+    assert f"coefficient 15{'9' * 4297}84/7 of (2, 2) is not an integer" in err
 
 
 def test_selftest_quick_passes(capsys):

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import schubcalc.grassmann as grassmann_module
 from det_oracle import oracle_determinant
+from lr_oracle import gr_multiply_by_pairs
 from schubcalc.errors import (
     BoxOverflow,
     DegreeOutOfRange,
@@ -33,6 +34,7 @@ GR24 = GrassmannianDescriptor(2, 4)
 GR25 = GrassmannianDescriptor(2, 5)
 GR36 = GrassmannianDescriptor(3, 6)
 GR48 = GrassmannianDescriptor(4, 8)
+GR510 = GrassmannianDescriptor(5, 10)
 
 
 def basis(space, *parts):
@@ -68,6 +70,38 @@ def test_multiply_examples():
     assert basis(GR24, 1) * basis(GR24, 1) == basis(GR24, 2) + basis(GR24, 1, 1)
     assert (basis(GR24, 2) * basis(GR24, 1, 1)).is_zero()
     assert (basis(GR24, 2, 2) * basis(GR24, 1)).is_zero()
+
+
+def signed_class(space, rng, nterms):
+    shapes = rng.sample(list(partitions_in_box(space.k, space.l)), k=nterms)
+    return GrassmannClass(space, {lam: rng.choice((-3, -2, -1, 1, 2, 3)) for lam in shapes})
+
+
+def test_class_seeded_product_matches_the_pairwise_oracle():
+    rng = random.Random(13)
+    cases = []
+    for space in (GR25, GR36, GR48, GR510):
+        unit, zero = GrassmannClass.unit(space), GrassmannClass.zero(space)
+        top = GrassmannClass.basis(space, space.box_partition)
+        many = signed_class(space, rng, 6)
+        cases += [
+            (unit, many), (zero, many), (unit, unit), (zero, zero),
+            (basis(space, 1), many), (basis(space, 2, 1), many),
+            # products with terms that leave the box
+            (top, basis(space, 1)), (top, top - unit),
+        ]
+        for _ in range(15):
+            a = signed_class(space, rng, rng.randint(1, 6))
+            b = signed_class(space, rng, rng.randint(1, 6))
+            cases.append((a, b))
+    for a, b in cases:
+        want = gr_multiply_by_pairs(a, b)
+        assert gr_multiply(a, b) == want, (a, b)
+        assert gr_multiply(b, a) == want, (a, b)
+    # partial tableaux from different terms cancel: s21 drops out
+    assert (basis(GR36, 2) - basis(GR36, 1, 1)) * basis(GR36, 1) == (
+        basis(GR36, 3) - basis(GR36, 1, 1, 1)
+    )
 
 
 def test_space_mismatch():
