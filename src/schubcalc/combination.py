@@ -153,6 +153,6 @@ class SparseCombination:
         bits = []
         for key, c in self.sorted_terms():
             name = f"{self._symbol}{list(key)}"
-            bits.append(name if c == 1 else f"{c}*{name}")
+            bits.append(name if c == 1 else f"{decimal_text(c)}*{name}")
         text = " + ".join(bits) or "0"
         return text if self.space is None else f"<{text} on {self.space}>"

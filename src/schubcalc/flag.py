@@ -3,16 +3,20 @@
 Basis classes are indexed by minimal-length coset representatives for the
 block-permutation subgroup of the flag's dimension vector; they sit inside
 H*(Fl_n) as the Schubert classes S_w of those permutations. A product is
-computed without leaving S_n: take the Schubert polynomial of one factor and
-apply each of its monomials to the other factor's whole class, one variable
-at a time, by Monk's rule (Monk 1959). Labels outside S_n span the ideal of
-the coinvariant ring (Macdonald, Notes on Schubert Polynomials, 1991), so the
-terms that leave S_n are dropped as they appear.
+computed without leaving S_n. Each term S_v of one factor is unfolded by the
+transition formula of Lascoux and Schuetzenberger (Lett. Math. Phys. 10,
+1985), S_w = x_r S_{w t_rs} + a sum of classes of the same length as w, and
+every x_r is applied to the other factor's whole class by Monk's rule
+(Monk 1959): one Monk step per node of the transition tree, and no
+polynomial is built. Labels outside S_n span the ideal of the coinvariant
+ring (Macdonald, Notes on Schubert Polynomials, 1991), so the terms that
+leave S_n are dropped as they appear.
 
 Schubert polynomials come from divided differences of the staircase
-monomial. Writing a polynomial back in the Schubert basis (triangular
-elimination) is no product's step; `expand_in_schubert_basis` does it in
-`selftest`, for the self-test and the test oracles.
+monomial; no product needs them. Writing a polynomial back in the Schubert
+basis (triangular elimination) is no product's step either;
+`expand_in_schubert_basis` does it in `selftest`, for the self-test and the
+test oracles.
 
 Classes are keyed by permutations only; ordered set partitions, the other
 name of a coset, are read and written in `serialize` alone.
@@ -221,54 +225,92 @@ def _times_variable(i, terms, n):
     return {w: c for w, c in out.items() if c}
 
 
-def _monomial_times(exp, memo, n):
-    """x^exp times the class memo[()], memoised by monomial prefix.
+def _transition(w):
+    """The transition step of Lascoux and Schuetzenberger (1985) at w != id.
 
-    The prefix of a monomial lowers its last variable by one, so monomials
-    that share leading exponents share the Monk steps that build them.
+    With r the last descent of w, s the last position after r holding a
+    value below w(r), and v = w t_rs (one shorter than w),
+    S_w = x_r S_v + the sum of S_{v t_ir} over the i < r where v t_ir is as
+    long as w: v(i) < v(r) and no position between them holds a value in
+    between, the scan `_times_variable` makes towards position 1. Returns r,
+    v and those v t_ir, each stripped of trailing fixed points.
     """
-    chain = []
-    while exp not in memo:
-        chain.append(exp)
-        if exp[-1] > 1:
-            exp = exp[:-1] + (exp[-1] - 1,)
-        else:
-            exp = exp[:-1]
-            while exp and exp[-1] == 0:
-                exp = exp[:-1]
-    terms = memo[exp]
-    for exp in reversed(chain):
-        terms = _times_variable(len(exp), terms, n)
-        memo[exp] = terms
-    return terms
+    p = len(w) - 2
+    while w[p] < w[p + 1]:
+        p -= 1
+    wr = w[p]
+    q = p + 1
+    while q + 1 < len(w) and w[q + 1] < wr:
+        q += 1
+    vr = w[q]
+    v = w[:p] + (vr,) + w[p + 1:q] + (wr,) + w[q + 1:]
+    tail = v[p + 1:]
+    moves = []
+    lo = 0
+    for i in range(p - 1, -1, -1):
+        x = v[i]
+        if lo < x < vr:
+            lo = x
+            moves.append(perm_strip(v[:i] + (vr,) + v[i + 1:p] + (x,) + tail))
+            if x == vr - 1:
+                break
+    return p + 1, perm_strip(v), moves
+
+
+def _schubert_times(w, memo, n):
+    """S_w times the class memo[()], memoised by stripped permutation.
+
+    Walks the transition tree below w with an explicit stack, so its depth
+    costs no Python recursion. It ends because each step either shortens
+    the permutation or keeps its length and makes it lexicographically
+    larger. Each node costs one Monk step and a sum of its children.
+    """
+    stack = [(w, None)]
+    while stack:
+        u, step = stack.pop()
+        if u in memo:
+            continue
+        if step is None:
+            step = _transition(u)
+        r, v, moves = step
+        missing = [x for x in (v, *moves) if x not in memo]
+        if missing:
+            stack.append((u, step))
+            stack.extend((x, None) for x in missing)
+            continue
+        terms = _times_variable(r, memo[v], n)
+        if moves:
+            for x in moves:
+                for key, c in memo[x].items():
+                    terms[key] = terms.get(key, 0) + c
+            terms = {key: c for key, c in terms.items() if c}
+        memo[u] = terms
+    return memo[w]
 
 
 def flag_multiply(a, b):
-    """Product in H*(Fl_D(C^n)), computed inside S_n by Monk's rule.
+    """Product in H*(Fl_D(C^n)), computed inside S_n by the transition formula.
 
-    The factor with fewer terms (then lower degree) is written as a
-    polynomial in x_1..x_{n-1} through its Schubert polynomials; each
-    monomial x^e of it multiplies the other factor's whole class by one
-    Monk step per variable, with x^e times the class memoised by prefix for
-    the call. Labels that leave S_n vanish in the quotient and are dropped.
-    Multiplying by the unit returns the other factor. Every output label
-    must already be a minimal representative (the subring they span is
-    closed under products), which is asserted rather than assumed.
+    Each term S_v of the factor with fewer terms (then lower degree) times
+    the other factor's whole class comes from the transition tree below v:
+    one Monk step per node, with every node's product memoised for the
+    call. No Schubert polynomial is built. Labels that leave S_n vanish in
+    the quotient and are dropped. Multiplying by the unit returns the other
+    factor. Every output label must already be a minimal representative
+    (the subring they span is closed under products), which is asserted
+    rather than assumed.
     """
     a._check_space(b)
     if a._cheaper_than(b):
         a, b = b, a
-    poly = SparsePolynomial()
-    for v, c in b.terms.items():
-        poly = poly + c * schubert_polynomial(v).poly
-    if poly.terms == {(): 1}:
-        return a
     space = a.space
     n = space.n
+    if b.terms == {identity_perm(n): 1}:
+        return a
     memo = {(): a.terms}
     out = {}
-    for exp, c in poly.terms.items():
-        for w, d in _monomial_times(exp, memo, n).items():
+    for v, c in b.terms.items():
+        for w, d in _schubert_times(perm_strip(v), memo, n).items():
             out[w] = out.get(w, 0) + c * d
     product = FlagClass._make(space, out)
     for w in product.terms:

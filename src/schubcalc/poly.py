@@ -11,7 +11,7 @@ usual x1, x2, ... notation.  The linear arithmetic is the shared
 from fractions import Fraction
 from operator import add
 
-from .combination import SparseCombination
+from .combination import SparseCombination, decimal_text
 
 
 def _strip(exps):
@@ -97,11 +97,11 @@ class SparsePolynomial(SparseCombination):
                 if p
             )
             if not mono:
-                bits.append(str(c))
+                bits.append(decimal_text(c))
             elif c == 1:
                 bits.append(mono)
             elif c == -1:
                 bits.append("-" + mono)
             else:
-                bits.append("%s*%s" % (c, mono))
+                bits.append("%s*%s" % (decimal_text(c), mono))
         return " + ".join(bits).replace("+ -", "- ")

@@ -203,9 +203,10 @@ def _check_flag_four():
 def _check_flag_polynomials():
     """Every product in S_4 against the expanded product of Schubert polynomials.
 
-    The product kernel works by Monk's rule, like monk_multiply; this check
-    shares only the Schubert polynomials with it. Two factors from S_n have
-    monomials inside the staircase of S_(2n-1), where the product is expanded.
+    The product kernel walks transition trees by Monk steps and builds no
+    polynomial, so this check shares no product code with it. Two factors
+    from S_n have monomials inside the staircase of S_(2n-1), where the
+    product is expanded.
     """
     n = 4
     space = flag_mod.FlagDescriptor((1,) * n)

@@ -1,6 +1,7 @@
 """The linear arithmetic all five class types share, and their key checks."""
 
 from collections import namedtuple
+from fractions import Fraction
 
 import pytest
 
@@ -137,3 +138,12 @@ def test_shared_arithmetic(make):
 
     with pytest.raises(case.error):
         case.bad()
+
+
+def test_repr_writes_coefficients_past_the_str_digit_limit():
+    huge = 10 ** 5000
+    digits = "1" + "0" * 5000
+    assert repr(GrassmannClass(GR24, {(1,): huge})) == f"<{digits}*s[1] on {GR24}>"
+    assert repr(SchurExpansion({(2, 1): -huge})) == f"-{digits}*s[2, 1]"
+    poly = SparsePolynomial({(): huge, (1,): Fraction(-huge, 3)})
+    assert repr(poly) == f"{digits} - {digits}/3*x1"

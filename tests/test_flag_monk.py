@@ -1,12 +1,15 @@
-"""The Monk's-rule flag product against the polynomial oracle.
+"""The transition-formula flag product against two oracles.
 
-`flag_multiply` works inside S_n, one Monk step per variable; the oracle in
-`flag_oracle.py` multiplies Schubert polynomials and expands the product in
-a larger symmetric group. Both must give the same class.
+`flag_multiply` works inside S_n, one Monk step per node of each term's
+transition tree. The oracles in `flag_oracle.py` multiply Schubert
+polynomials and expand the product in a larger symmetric group, or apply
+the cheaper factor's x-monomials one variable at a time. All three must give
+the same class.
 """
 
 import itertools
 import random
+import sys
 
 import pytest
 
@@ -23,7 +26,7 @@ from schubcalc.indexing import is_minimal_rep, perm_length, perm_pad, perm_strip
 from schubcalc.poly import SparsePolynomial
 from schubcalc.selftest import expand_in_schubert_basis
 
-from flag_oracle import polynomial_product
+from flag_oracle import monomial_product, polynomial_product
 
 
 def representatives(space):
@@ -42,6 +45,7 @@ def test_every_basis_pair_matches_the_oracle(dims):
     for i, a in enumerate(basis):
         for b in basis[i:]:
             want = polynomial_product(a, b)
+            assert monomial_product(a, b) == want, (a, b)
             assert flag_multiply(a, b) == want, (a, b)
             assert flag_multiply(b, a) == want, (b, a)
 
@@ -66,6 +70,7 @@ def test_random_multiterm_products_match_the_oracle(dims):
         a = random_class(rng, space, reps, 3, space.complex_dimension)
         b = random_class(rng, space, reps, 2, 4)
         want = polynomial_product(a, b)
+        assert monomial_product(a, b) == want, (a, b)
         assert flag_multiply(a, b) == want, (a, b)
         assert flag_multiply(b, a) == want, (b, a)
 
@@ -91,6 +96,32 @@ def test_unit_returns_the_other_factor():
     unit = FlagClass.unit(space)
     assert flag_multiply(unit, a) is a
     assert flag_multiply(a, unit) is a
+
+
+def test_transition_walk_uses_no_recursion():
+    """The 55-node transition chain of the longest element of S_11, on Fl(1^12),
+    under a recursion limit 40 frames above the caller's depth."""
+    n = 12
+    space = FlagDescriptor((1,) * n)
+    cheap = FlagClass.basis(space, perm_pad(tuple(range(11, 0, -1)), n))
+    other = FlagClass(
+        space,
+        {
+            perm_pad((*range(1, 11), 12, 11), n): 1,
+            perm_pad((*range(1, 10), 11, 10), n): 2,
+        },
+    )
+    want = monomial_product(cheap, other)
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 40)
+    try:
+        got = flag_multiply(cheap, other)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert got == want
 
 
 @pytest.mark.parametrize("n", [7, 8])
