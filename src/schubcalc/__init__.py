@@ -54,7 +54,6 @@ from .halving import (
 )
 from .schur import (
     SchurExpansion,
-    expand_basis_product,
     jacobi_trudi,
     lr_coefficient,
     oracle_schur_polynomial,
@@ -103,7 +102,6 @@ __all__ = [
     "real_lower_bound",
     "solve",
     "SchurExpansion",
-    "expand_basis_product",
     "jacobi_trudi",
     "lr_coefficient",
     "oracle_schur_polynomial",

@@ -47,6 +47,8 @@ def _load_json(text, what):
         return json.loads(text)
     except ValueError as exc:  # JSONDecodeError, or an int past the digit limit
         raise ProblemSchemaError(f"{what} is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise ProblemSchemaError(f"{what} is not valid JSON: nested too deeply") from None
 
 
 def _solve_report(parsed):
@@ -106,14 +108,14 @@ def _emit(reports, fmt, batch):
 
 
 def cmd_solve(args):
-    if args.input == "-":
-        text = sys.stdin.read()
-    else:
-        try:
+    try:
+        if args.input == "-":
+            text = sys.stdin.read()
+        else:
             with open(args.input, "r", encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError as exc:
-            raise ProblemSchemaError(f"cannot read {args.input}: {exc}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ProblemSchemaError(f"cannot read {args.input}: {exc}") from None
     payload = _load_json(text, "the problem file")
     batch = isinstance(payload, list)
     entries = payload if batch else [payload]

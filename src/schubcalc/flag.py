@@ -326,9 +326,11 @@ def flag_integrate(a):
 def monk_multiply(r, a):
     """Multiply a by the degree-1 class of the block boundary r.
 
-    Independent of the polynomial machinery: enumerate transpositions
-    swapping a position <= r with one > r that raise length by exactly 1,
-    i.e. w(i) < w(j) with no intermediate value between them.
+    Shares no code with the product kernel (neither _times_variable nor
+    the transition walk), so it serves as that kernel's oracle: enumerate
+    transpositions swapping a position <= r with one > r that raise
+    length by exactly 1, i.e. w(i) < w(j) with no intermediate value
+    between them.
     """
     space = a.space
     if r not in space.boundaries:

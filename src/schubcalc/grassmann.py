@@ -17,7 +17,7 @@ from .errors import (
     MissingChernDegree,
 )
 from .indexing import fits_in_box, normalize_partition, partition_size
-from .schur import _strip_pass, ring_determinant
+from .schur import _lr_product, ring_determinant
 
 
 @dataclass(frozen=True)
@@ -71,25 +71,11 @@ class GrassmannClass(SparseCombination):
 
 
 def gr_multiply(a, b):
-    """Product in H*(Gr_k(C^n)): LR expansion truncated to the box.
-
-    One strip pass per term mu of the factor with fewer terms (then lower
-    degree), seeded with every term of the other factor scaled by mu's
-    coefficient, so partial tableaux from different terms merge.  Shapes
-    never shrink, so capping every state at the box drops exactly the
-    terms that leave it.
-    """
+    """Product in H*(Gr_k(C^n)): the LR product capped at the k x l box
+    (schur._lr_product), so nothing that leaves the box is ever built."""
     a._check_space(b)
     space = a.space
-    if a._cheaper_than(b):
-        a, b = b, a
-    caps = (space.l,) * space.k
-    out = {}
-    for mu, c in b.terms.items():
-        seeds = {lam: c * ca for lam, ca in a.terms.items()}
-        for nu, m in _strip_pass(seeds, mu, caps, False).items():
-            out[nu] = out.get(nu, 0) + m
-    return GrassmannClass._make(space, out)
+    return GrassmannClass._make(space, _lr_product(a, b, space.box_partition))
 
 
 def gr_integrate(a):

@@ -10,17 +10,17 @@ work follows the distinct shapes inside the caps rather than the tableaux
 (Fulton, Young Tableaux, ch. 5; the scheme of Buch's lrcalc).
 
 The pass starts from a layer of seed shapes with coefficients, so one
-pass can multiply a whole class by s_mu: Grassmannian multiplication
-(grassmann.gr_multiply) runs one pass per term of one factor, seeded with
-every term of the other and capped at the box, and partial tableaux from
-different seeds merge as well.  expand_basis_product, one cached pair of
-Schur functions with the letters from the factor with the smaller content
-and every row capped at the box or at lam_1 + mu_1, serves schur_multiply
-and the test oracles.  A single coefficient (lr_coefficient) caps row r
-at nu_r, so only shapes inside nu are visited, and drops a shape whose
-row i is still short of nu_i once letter i is placed; by c(lam, mu; nu) =
-c(mu, lam; nu) = c(lam', mu'; nu') the letters come from the factor with
-the fewest rows.
+pass can multiply a whole class by s_mu.  Both Schur-basis products go
+through _lr_product: one pass per term of the cheaper factor, seeded with
+every term of the other, so partial tableaux from different seeds merge
+as well.  Grassmannian multiplication (grassmann.gr_multiply) caps every
+row at the box; schur_multiply caps the rows and their number at the
+sums of the factors' widest rows and longest lengths, which cuts nothing
+off.  A single coefficient (lr_coefficient) caps row r at nu_r, so only
+shapes inside nu are visited, and drops a shape whose row i is still
+short of nu_i once letter i is placed; by c(lam, mu; nu) = c(mu, lam; nu)
+= c(lam', mu'; nu') the letters come from the factor with the fewest
+rows.
 
 The former kernels, a per-box tableau count, one such count per
 candidate nu and the Grassmannian product one pair of terms at a time,
@@ -31,8 +31,6 @@ oracle_schur_polynomial: the actual Schur polynomial in n variables,
 built by enumerating semistandard tableaux as chains of horizontal strips
 and aggregating monomials by weight.  It shares no code with any kernel.
 """
-
-from functools import lru_cache
 
 from .combination import SparseCombination
 from .flag import _schubert_table
@@ -160,31 +158,24 @@ def _strip_pass(seeds, mu, caps, fill):
     return {nu: c for (nu, _), c in layer.items()}
 
 
-@lru_cache(maxsize=None)
-def expand_basis_product(lam, mu, rows=None, cols=None):
-    """s_lam * s_mu as a tuple of (nu, coefficient) pairs, nu in decreasing
-    lexicographic order.
+def _lr_product(a, b, caps):
+    """{nu: coefficient} of the product of two Schur-basis classes, keeping
+    only the nu with at most caps[r] boxes in row r.
 
-    One strip pass over the letters of the factor with the smaller
-    content.  When rows/cols are given, no shape leaves the box (exactly
-    the quotient taken by Grassmannian multiplication).
+    One strip pass per term mu of the cheaper factor (fewer terms, then
+    lower degree), seeded with every term of the other factor scaled by
+    mu's coefficient, so partial tableaux from different terms merge.
+    Shapes never shrink, so the caps drop exactly the terms that leave
+    them.
     """
-    lam = normalize_partition(lam)
-    mu = normalize_partition(mu)
-    if partition_size(mu) > partition_size(lam):
-        lam, mu = mu, lam
-    if not lam:
-        return (((), 1),)
-    nrows = len(lam) + len(mu)
-    width = lam[0] + (mu[0] if mu else 0)
-    if rows is not None:
-        nrows = min(nrows, rows)
-    if cols is not None:
-        width = min(width, cols)
-    if len(lam) > nrows or lam[0] > width:
-        return ()
-    layer = _strip_pass({lam: 1}, mu, (width,) * nrows, False)
-    return tuple(sorted(layer.items(), reverse=True))
+    if a._cheaper_than(b):
+        a, b = b, a
+    out = {}
+    for mu, c in b.terms.items():
+        seeds = {lam: c * ca for lam, ca in a.terms.items()}
+        for nu, m in _strip_pass(seeds, mu, caps, False).items():
+            out[nu] = out.get(nu, 0) + m
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -222,13 +213,15 @@ class SchurExpansion(SparseCombination):
 
 
 def schur_multiply(a, b):
-    """Product of two Schur expansions, expanded in the Schur basis."""
-    out = {}
-    for lam, ca in a.terms.items():
-        for mu, cb in b.terms.items():
-            for nu, c in expand_basis_product(lam, mu):
-                out[nu] = out.get(nu, 0) + ca * cb * c
-    return SchurExpansion._make(None, out)
+    """Product of two Schur expansions, expanded in the Schur basis.
+
+    No nu in s_lam * s_mu is wider than lam_1 + mu_1 or longer than
+    len(lam) + len(mu), so caps that wide and that tall cut nothing off.
+    """
+    width = max((lam[0] for lam in a.terms if lam), default=0)
+    width += max((mu[0] for mu in b.terms if mu), default=0)
+    rows = max(map(len, a.terms), default=0) + max(map(len, b.terms), default=0)
+    return SchurExpansion._make(None, _lr_product(a, b, (width,) * rows))
 
 
 # ---------------------------------------------------------------------------
@@ -359,8 +352,7 @@ def oracle_schur_polynomial(lam, n):
 
 
 def oracle_cache_clear():
-    """Release every kernel cache: tableau weights, basis products and
-    Schubert polynomials (they can get large in high degree)."""
+    """Release every kernel cache: tableau weights and Schubert
+    polynomials (they can get large in high degree)."""
     _oracle_cache.clear()
-    expand_basis_product.cache_clear()
     _schubert_table.clear()

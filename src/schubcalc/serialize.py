@@ -283,7 +283,9 @@ def parse_problem(obj, mode_override=None):
     space = space_from_json(obj["space"])
     kind = _space_kind(space)
 
-    mode = mode_override or obj.get("mode") or _MODES[kind][0]
+    # --mode replaces the file's mode unread
+    mode = mode_override or obj.get("mode", _MODES[kind][0])
+    _require(isinstance(mode, str), f"'mode' must be a string from {_MODES[kind]}")
     _require(
         mode in _MODES[kind],
         f"mode {mode!r} is not available on {space} (choose from {_MODES[kind]})",

@@ -9,16 +9,17 @@ before the one-pass strip expansion.  `pieri` multiplies by a single row
 or column, the case the Pieri rule settles without tableaux.  None of
 them shares code with `schubcalc.schur`'s strip pass.
 
-`gr_multiply_by_pairs` is the Grassmannian product one pair of terms at a
-time, through `expand_basis_product`; it was `gr_multiply` before one
-strip pass per factor term, seeded with the whole other class, replaced
-it.  It shares the strip pass but none of the seeding and merging across
-terms, which is what it checks.
+`gr_multiply_by_pairs` and `schur_multiply_by_pairs` multiply two
+classes one pair of terms at a time, each pair through
+`expand_by_candidates` (inside the box on a Grassmannian).  The products
+they check run one strip pass per term of one factor, seeded with the
+whole other class; these share neither the strip pass nor the seeding
+and merging across terms.
 """
 
 from schubcalc.grassmann import GrassmannClass
 from schubcalc.indexing import normalize_partition, partition_contains, partition_size
-from schubcalc.schur import SchurExpansion, expand_basis_product
+from schubcalc.schur import SchurExpansion
 
 
 def count_lr_tableaux(lam, mu, nu):
@@ -136,16 +137,26 @@ def expand_by_candidates(lam, mu, rows=None, cols=None):
     return tuple(out)
 
 
+def _product_by_pairs(a, b, rows=None, cols=None):
+    out = {}
+    for lam, ca in a.terms.items():
+        for mu, cb in b.terms.items():
+            for nu, m in expand_by_candidates(lam, mu, rows, cols):
+                out[nu] = out.get(nu, 0) + ca * cb * m
+    return out
+
+
 def gr_multiply_by_pairs(a, b):
     """Product in H*(Gr_k(C^n)) as the sum, over pairs of terms, of the
     LR expansion of each pair truncated to the k x l box."""
     space = a.space
-    out = {}
-    for lam, ca in a.terms.items():
-        for mu, cb in b.terms.items():
-            for nu, m in expand_basis_product(lam, mu, rows=space.k, cols=space.l):
-                out[nu] = out.get(nu, 0) + ca * cb * m
-    return GrassmannClass(space, out)
+    return GrassmannClass(space, _product_by_pairs(a, b, space.k, space.l))
+
+
+def schur_multiply_by_pairs(a, b):
+    """Product of two Schur expansions as the sum, over pairs of terms, of
+    the LR expansion of each pair."""
+    return SchurExpansion(_product_by_pairs(a, b))
 
 
 def pieri(lam, p, kind="row"):

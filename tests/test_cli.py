@@ -182,6 +182,26 @@ def test_oversized_json_integers_end_cleanly(capsys, tmp_path):
     assert "Traceback" not in err
 
 
+def test_input_file_that_is_not_utf8_is_named(capsys, tmp_path):
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe" + json.dumps(problem(GR24, [{"index": [1]}])).encode("utf-16-le"))
+    code, out, err = run_cli(capsys, ["solve", "--input", str(path)])
+    assert (code, out) == (2, ""), err
+    assert f"error: cannot read {path}: 'utf-8' codec can't decode" in err
+
+
+def test_json_nested_past_the_recursion_limit_exits_two(capsys, tmp_path):
+    deep = "[" * 100000
+    path = tmp_path / "deep.json"
+    path.write_text(deep)
+    code, out, err = run_cli(capsys, ["solve", "--input", str(path)])
+    assert (code, out) == (2, ""), err
+    assert "error: the problem file is not valid JSON: nested too deeply" in err
+    code, out, err = run_cli(capsys, ["lr", deep, "[1]", "[1]"])
+    assert (code, out) == (2, ""), err
+    assert "error: lam is not valid JSON: nested too deeply" in err
+
+
 def test_coefficients_past_the_str_digit_limit_are_written_exactly(capsys):
     # str() of an int refuses more than 4300 digits on 3.11+; the output
     # writer has no such limit, while input keeps it (test above)

@@ -1,12 +1,31 @@
 """The strip pass against the per-box and per-candidate oracles and Pieri."""
 
+import random
+
 import pytest
 
-from lr_oracle import count_lr_tableaux, expand_by_candidates, pieri
+from lr_oracle import count_lr_tableaux, expand_by_candidates, pieri, schur_multiply_by_pairs
+from schubcalc.grassmann import GrassmannClass, GrassmannianDescriptor, gr_multiply
 from schubcalc.indexing import partition_contains, partitions_in_box, partitions_of
-from schubcalc.schur import expand_basis_product, lr_coefficient
+from schubcalc.schur import SchurExpansion, lr_coefficient, schur_multiply
 
 SMALL = [()] + [lam for size in range(1, 7) for lam in partitions_of(size)]
+
+
+def _pairs(cls):
+    return tuple(sorted(cls.terms.items(), reverse=True))
+
+
+def boxed_product(lam, mu, rows, cols):
+    """s_lam * s_mu in H*(Gr(rows, rows + cols)), as the oracle lists it."""
+    space = GrassmannianDescriptor(rows, rows + cols)
+    a, b = (GrassmannClass.basis(space, p) for p in (lam, mu))
+    return _pairs(gr_multiply(a, b))
+
+
+def unbounded_product(lam, mu):
+    """s_lam * s_mu in the ring of symmetric functions, as the oracle lists it."""
+    return _pairs(schur_multiply(SchurExpansion.basis(lam), SchurExpansion.basis(mu)))
 
 
 @pytest.mark.parametrize("rows,cols", [(3, 3), (4, 4), (3, 5), (5, 3), (2, 6)])
@@ -14,14 +33,14 @@ def test_every_product_in_a_box(rows, cols):
     shapes = list(partitions_in_box(rows, cols))
     for lam in shapes:
         for mu in shapes:
-            got = expand_basis_product(lam, mu, rows=rows, cols=cols)
+            got = boxed_product(lam, mu, rows, cols)
             assert got == expand_by_candidates(lam, mu, rows, cols), (lam, mu)
 
 
 def test_unbounded_products_up_to_size_six():
     for lam in SMALL:
         for mu in SMALL:
-            assert expand_basis_product(lam, mu) == expand_by_candidates(lam, mu), (lam, mu)
+            assert unbounded_product(lam, mu) == expand_by_candidates(lam, mu), (lam, mu)
 
 
 def test_single_coefficients_up_to_size_six():
@@ -43,9 +62,13 @@ def test_larger_shapes():
         ((5, 3, 3, 1), (4, 2, 2), (5, 6)),
         ((6, 4, 4, 2, 1), (3, 3, 2, 1), (6, 6)),
     ]:
-        rows, cols = box or (None, None)
-        got = expand_basis_product(lam, mu, rows=rows, cols=cols)
-        assert got == expand_by_candidates(lam, mu, rows, cols), (lam, mu, box)
+        if box:
+            got = boxed_product(lam, mu, *box)
+            want = expand_by_candidates(lam, mu, *box)
+        else:
+            got = unbounded_product(lam, mu)
+            want = expand_by_candidates(lam, mu)
+        assert got == want, (lam, mu, box)
 
 
 @pytest.mark.parametrize("p", [1, 2, 3, 5])
@@ -54,4 +77,31 @@ def test_single_rows_and_columns_follow_pieri(p):
         for strip, kind in (((p,), "row"), ((1,) * p, "column")):
             want = pieri(lam, p, kind).terms
             for a, b in ((lam, strip), (strip, lam)):
-                assert dict(expand_basis_product(a, b)) == want, (a, b)
+                assert dict(unbounded_product(a, b)) == want, (a, b)
+
+
+def signed_expansion(rng, nterms):
+    shapes = rng.sample(SMALL, k=nterms)
+    return SchurExpansion({lam: rng.choice((-3, -2, -1, 1, 2, 3)) for lam in shapes})
+
+
+def test_class_seeded_schur_product_matches_the_pairwise_oracle():
+    rng = random.Random(17)
+    unit, zero = SchurExpansion.one(), SchurExpansion.zero()
+    s = SchurExpansion.basis
+    cases = [
+        (unit, unit), (zero, zero), (unit, zero),
+        # s2 * s2 and s11 * s11 both hold s22, which cancels
+        (s((2,)) - s((1, 1)), s((2,)) + s((1, 1))),
+    ]
+    for _ in range(40):
+        a = signed_expansion(rng, rng.randint(1, 5))
+        b = signed_expansion(rng, rng.randint(1, 5))
+        cases += [(a, b), (unit, a), (zero, a)]
+    for a, b in cases:
+        want = schur_multiply_by_pairs(a, b)
+        assert schur_multiply(a, b) == want, (a, b)
+        assert schur_multiply(b, a) == want, (a, b)
+    assert (s((2,)) - s((1, 1))) * (s((2,)) + s((1, 1))) == (
+        s((4,)) + s((3, 1)) - s((2, 1, 1)) - s((1, 1, 1, 1))
+    )

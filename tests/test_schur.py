@@ -274,7 +274,6 @@ def test_oracle_cache_clear_empties_every_kernel_cache():
             continue
         module = importlib.import_module(f"schubcalc.{info.name}")
         lru_caches |= {f for f in vars(module).values() if hasattr(f, "cache_info")}
-    assert len(lru_caches) >= 1  # expand_basis_product at least
     schur_multiply(s(2, 1), s(2, 1))
     lr_coefficient((2, 1), (2, 1), (3, 2, 1))
     oracle_schur_polynomial((2, 1), 3)

@@ -203,6 +203,19 @@ def test_parse_problem_mode_override_and_rejection():
         )
 
 
+@pytest.mark.parametrize("mode", ["", 0, False, [], {}, None, "bogus", "Count"])
+def test_parse_problem_rejects_a_malformed_mode(mode):
+    obj = {
+        "space": space_to_json(GR24),
+        "conditions": [{"index": [1], "count": 4}],
+        "mode": mode,
+    }
+    with pytest.raises(ProblemSchemaError, match="mode"):
+        parse_problem(obj)
+    # --mode replaces the file's mode without reading it
+    assert parse_problem(obj, mode_override="count").mode == "count"
+
+
 def test_parse_problem_condition_validation():
     space = space_to_json(GR24)
     with pytest.raises(ProblemSchemaError):
