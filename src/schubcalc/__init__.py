@@ -18,16 +18,7 @@ from .errors import (
     SpaceMismatch,
     SupportOutsideStaircase,
 )
-from .flag import (
-    FlagClass,
-    FlagDescriptor,
-    SchubertPolynomial,
-    divided_difference,
-    flag_integrate,
-    flag_multiply,
-    monk_multiply,
-    schubert_polynomial,
-)
+from .flag import FlagClass, FlagDescriptor, flag_integrate, flag_multiply
 from .grassmann import (
     GrassmannClass,
     GrassmannianDescriptor,
@@ -52,13 +43,7 @@ from .halving import (
     real_lower_bound,
     solve,
 )
-from .schur import (
-    SchurExpansion,
-    jacobi_trudi,
-    lr_coefficient,
-    oracle_schur_polynomial,
-    schur_multiply,
-)
+from .schur import SchurExpansion, lr_coefficient, schur_multiply
 
 __version__ = "0.1.0"
 
@@ -74,7 +59,6 @@ __all__ = [
     "SupportOutsideStaircase",
     "FlagClass",
     "FlagDescriptor",
-    "SchubertPolynomial",
     "divided_difference",
     "expand_in_schubert_basis",
     "flag_integrate",
@@ -111,9 +95,21 @@ __all__ = [
 ]
 
 
+# The oracles and the self-test suites live in one module, loaded on first
+# use of one of these names, not with the package.
+_SELFTEST_NAMES = frozenset((
+    "divided_difference",
+    "expand_in_schubert_basis",
+    "jacobi_trudi",
+    "monk_multiply",
+    "oracle_schur_polynomial",
+    "run_selftest",
+    "schubert_polynomial",
+))
+
+
 def __getattr__(name):
-    # The self-test module is loaded on first use, not with the package.
-    if name in ("expand_in_schubert_basis", "run_selftest"):
+    if name in _SELFTEST_NAMES:
         from . import selftest
 
         return getattr(selftest, name)

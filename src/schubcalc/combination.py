@@ -2,9 +2,9 @@
 
 A class is a dict `terms` from canonical basis keys to nonzero
 coefficients, on a fixed `space`. The subclasses are `GrassmannClass`,
-`FlagClass`, `HalvingClass`, and, with no space, `SchurExpansion` and
-`SparsePolynomial`. They say what a key is and how two classes multiply;
-everything linear lives here once:
+`FlagClass`, `HalvingClass`, and, with no space, `SchurExpansion` and the
+oracles' `SparsePolynomial` (in `selftest`). They say what a key is and
+how two classes multiply; everything linear lives here once:
 
 - `_key(space, key)` validates one key and returns its canonical form;
 - `_rank(key)` is the degree that orders terms for output;

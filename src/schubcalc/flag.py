@@ -12,11 +12,9 @@ polynomial is built. Labels outside S_n span the ideal of the coinvariant
 ring (Macdonald, Notes on Schubert Polynomials, 1991), so the terms that
 leave S_n are dropped as they appear.
 
-Schubert polynomials come from divided differences of the staircase
-monomial; no product needs them. Writing a polynomial back in the Schubert
-basis (triangular elimination) is no product's step either;
-`expand_in_schubert_basis` does it in `selftest`, for the self-test and the
-test oracles.
+Its oracles, Schubert polynomials with the expansion back into the
+Schubert basis and Monk's rule one transposition at a time, live in
+`selftest`.
 
 Classes are keyed by permutations only; ordered set partitions, the other
 name of a coset, are read and written in `serialize` alone.
@@ -28,92 +26,11 @@ from .combination import SparseCombination
 from .indexing import (
     identity_perm,
     is_minimal_rep,
-    longest_perm,
     normalize_perm,
-    perm_compose,
-    perm_inverse,
     perm_length,
     perm_pad,
     perm_strip,
-    perm_swap_positions,
-    reduced_word,
 )
-from .poly import SparsePolynomial
-
-
-def divided_difference(i, p):
-    """Apply (p - swap_i(p)) / (x_i - x_{i+1}), term by term.
-
-    For a single monomial the quotient telescopes: with a = exponent of x_i,
-    b = exponent of x_{i+1}, m = min(a, b) and q = |a - b|, the result is
-    sign(a - b) times the sum of monomials x_i^(m+t) x_{i+1}^(m+q-1-t) for
-    0 <= t < q, carrying the other variables along unchanged. Symmetric
-    monomials (a = b) die.
-    """
-    if i < 1:
-        raise ValueError("variable index must be at least 1")
-    out = {}
-    for exp, c in p.terms.items():
-        a = exp[i - 1] if len(exp) >= i else 0
-        b = exp[i] if len(exp) > i else 0
-        if a == b:
-            continue
-        sign = 1 if a > b else -1
-        m, q = min(a, b), abs(a - b)
-        base = list(exp) + [0] * (i + 1 - len(exp))
-        for t in range(q):
-            base[i - 1] = m + t
-            base[i] = m + q - 1 - t
-            key = tuple(base)
-            while key and key[-1] == 0:
-                key = key[:-1]
-            out[key] = out.get(key, 0) + sign * c
-    return SparsePolynomial._make(None, out)
-
-
-def staircase_monomial(n):
-    """x_1^(n-1) x_2^(n-2) ... x_{n-1}, the top Schubert polynomial for S_n."""
-    return SparsePolynomial.monomial(tuple(range(n - 1, 0, -1)), 1)
-
-
-@dataclass(frozen=True)
-class SchubertPolynomial:
-    """A Schubert polynomial together with the permutation labeling it."""
-
-    perm: tuple
-    poly: SparsePolynomial
-
-    @property
-    def degree(self):
-        return perm_length(self.perm)
-
-
-# Filled lazily, one table per process; oracle_cache_clear empties it.
-_schubert_table = {}
-
-
-def schubert_polynomial(w):
-    """Schubert polynomial of w, stable under embedding into larger groups.
-
-    Starts from the staircase monomial for the longest element and walks
-    down along a reduced word of w^{-1} w_0, applying one divided difference
-    per letter, rightmost letter first.
-    """
-    w = perm_strip(normalize_perm(w))
-    cached = _schubert_table.get(w)
-    if cached is not None:
-        return cached
-    n = len(w)
-    if n == 0:
-        result = SchubertPolynomial((), SparsePolynomial.one())
-    else:
-        u = perm_compose(perm_inverse(w), longest_perm(n))
-        p = staircase_monomial(n)
-        for i in reversed(reduced_word(u)):
-            p = divided_difference(i, p)
-        result = SchubertPolynomial(w, p)
-    _schubert_table[w] = result
-    return result
 
 
 @dataclass(frozen=True)
@@ -134,11 +51,9 @@ class FlagDescriptor:
 
     @property
     def complex_dimension(self):
-        total = 0
-        for i in range(len(self.dims)):
-            for j in range(i + 1, len(self.dims)):
-                total += self.dims[i] * self.dims[j]
-        return total
+        # the sum of d_i d_j over i < j, in one pass over the blocks
+        n = self.n
+        return (n * n - sum(d * d for d in self.dims)) // 2
 
     @property
     def boundaries(self):
@@ -321,33 +236,3 @@ def flag_multiply(a, b):
 def flag_integrate(a):
     """Coefficient of the longest minimal representative (the point class)."""
     return a.terms.get(a.space.top_representative(), 0)
-
-
-def monk_multiply(r, a):
-    """Multiply a by the degree-1 class of the block boundary r.
-
-    Shares no code with the product kernel (neither _times_variable nor
-    the transition walk), so it serves as that kernel's oracle: enumerate
-    transpositions swapping a position <= r with one > r that raise
-    length by exactly 1, i.e. w(i) < w(j) with no intermediate value
-    between them.
-    """
-    space = a.space
-    if r not in space.boundaries:
-        raise ValueError(
-            f"{r} is not a block boundary of {space}; "
-            f"degree-1 classes sit at {space.boundaries}"
-        )
-    n = space.n
-    out = {}
-    for w, c in a.terms.items():
-        for i in range(1, r + 1):
-            for j in range(r + 1, n + 1):
-                lo, hi = w[i - 1], w[j - 1]
-                if lo >= hi:
-                    continue
-                if any(lo < w[t - 1] < hi for t in range(i + 1, j)):
-                    continue
-                nw = perm_swap_positions(w, i, j)
-                out[nw] = out.get(nw, 0) + c
-    return FlagClass._make(space, out)

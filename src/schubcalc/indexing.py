@@ -4,9 +4,13 @@ Everything here is a plain immutable tuple.  Partitions are weakly
 decreasing tuples of positive ints (no trailing zeros).  An ordered set
 partition (OSP) of {1..N} is a tuple of blocks, each block a sorted
 tuple of ints.  Permutations are one-line tuples (w(1), ..., w(n)).
+
+Only what the engine calls is here; the helpers that only the oracles
+use (partitions in a box, codes, reduced words, composition) live in
+`selftest`.
 """
 
-from .errors import BoxOverflow, NotADouble
+from .errors import NotADouble
 
 # ---------------------------------------------------------------------------
 # partitions
@@ -47,36 +51,6 @@ def partition_contains(outer, inner):
 
 def fits_in_box(lam, rows, cols):
     return len(lam) <= rows and (not lam or lam[0] <= cols)
-
-
-def partitions_in_box(rows, cols):
-    """Yield every partition inside a rows x cols box, by size then lex."""
-    found = [[] for _ in range(rows * cols + 1)]
-
-    def rec(prefix, row, cap):
-        found[sum(prefix)].append(tuple(prefix))
-        if row == rows:
-            return
-        for p in range(1, cap + 1):
-            rec(prefix + [p], row + 1, p)
-
-    rec([], 0, cols)
-    for bucket in found:
-        bucket.sort()
-        for lam in bucket:
-            yield lam
-
-
-def partitions_of(n, max_part=None):
-    """Yield partitions of n with parts bounded by max_part."""
-    if max_part is None:
-        max_part = n
-    if n == 0:
-        yield ()
-        return
-    for first in range(min(n, max_part), 0, -1):
-        for rest in partitions_of(n - first, first):
-            yield (first,) + rest
 
 
 def partition_double(lam):
@@ -131,22 +105,6 @@ def osp_block_sizes(osp):
     return tuple(len(b) for b in osp)
 
 
-def partition_to_osp(lam, k, l):
-    """Partition in the k x l box -> two-block OSP of {1..k+l}.
-
-    The first block collects the jump positions lam_k + 1,
-    lam_{k-1} + 2, ..., lam_1 + k (the partition is padded with zeros
-    to k parts); the second block is the complement.
-    """
-    lam = normalize_partition(lam)
-    if not fits_in_box(lam, k, l):
-        raise BoxOverflow("partition %r does not fit in a %d x %d box" % (lam, k, l))
-    padded = lam + (0,) * (k - len(lam))
-    first = tuple(padded[k - j] + j for j in range(1, k + 1))
-    rest = tuple(x for x in range(1, k + l + 1) if x not in set(first))
-    return (first, rest)
-
-
 # ---------------------------------------------------------------------------
 # permutations
 # ---------------------------------------------------------------------------
@@ -161,10 +119,6 @@ def normalize_perm(w):
 
 def identity_perm(n):
     return tuple(range(1, n + 1))
-
-
-def longest_perm(n):
-    return tuple(range(n, 0, -1))
 
 
 def perm_strip(w):
@@ -182,71 +136,10 @@ def perm_pad(w, n):
     return w + tuple(range(len(w) + 1, n + 1))
 
 
-def perm_inverse(w):
-    inv = [0] * len(w)
-    for i, x in enumerate(w):
-        inv[x - 1] = i + 1
-    return tuple(inv)
-
-
-def perm_compose(u, v):
-    """Composite u after v: (u v)(i) = u(v(i)).  Lengths must agree."""
-    if len(u) != len(v):
-        raise ValueError("length mismatch composing %r and %r" % (u, v))
-    return tuple(u[v[i] - 1] for i in range(len(v)))
-
-
 def perm_length(w):
     """Coxeter length: number of inversions."""
     n = len(w)
     return sum(1 for i in range(n) for j in range(i + 1, n) if w[i] > w[j])
-
-
-def perm_descents(w):
-    """Positions i with w(i) > w(i+1)."""
-    return tuple(i + 1 for i in range(len(w) - 1) if w[i] > w[i + 1])
-
-
-def perm_swap_positions(w, i, j):
-    lst = list(w)
-    lst[i - 1], lst[j - 1] = lst[j - 1], lst[i - 1]
-    return tuple(lst)
-
-
-def perm_from_code(code):
-    """Rebuild the permutation with the given code (trailing zeros allowed)."""
-    code = tuple(int(c) for c in code)
-    n = len(code)
-    while n > 0 and code[n - 1] == 0:
-        n -= 1
-    code = code[:n]
-    m = max((code[i] + i + 1 for i in range(n)), default=0)
-    available = list(range(1, m + 1))
-    out = []
-    for i in range(n):
-        out.append(available.pop(code[i]))
-    out.extend(available)
-    return tuple(out)
-
-
-def reduced_word(w, strategy="leftmost"):
-    """A reduced word (i_1, ..., i_t) with w = s_{i_1} ... s_{i_t}.
-
-    Letters are found from the right: a descent i of w lets us peel off
-    a final s_i.  The strategy picks which descent, so different
-    strategies give genuinely different words.
-    """
-    w = tuple(w)
-    word = []
-    while True:
-        desc = perm_descents(w)
-        if not desc:
-            break
-        i = desc[0] if strategy == "leftmost" else desc[-1]
-        word.append(i)
-        w = perm_swap_positions(w, i, i + 1)
-    word.reverse()
-    return tuple(word)
 
 
 # ---------------------------------------------------------------------------

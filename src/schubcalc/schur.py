@@ -25,22 +25,18 @@ rows.
 The former kernels, a per-box tableau count, one such count per
 candidate nu and the Grassmannian product one pair of terms at a time,
 are kept in tests/lr_oracle.py as oracles for the strip pass, next to
-the Pieri rule for one-row and one-column factors.  The
-independent reference for all of them is
-oracle_schur_polynomial: the actual Schur polynomial in n variables,
-built by enumerating semistandard tableaux as chains of horizontal strips
-and aggregating monomials by weight.  It shares no code with any kernel.
+the Pieri rule for one-row and one-column factors.  The independent
+references for all of them, the tableau Schur polynomial and the
+Jacobi-Trudi determinant, live in `selftest`.
 """
 
 from .combination import SparseCombination
-from .flag import _schubert_table
 from .indexing import (
     normalize_partition,
     partition_conjugate,
     partition_contains,
     partition_size,
 )
-from .poly import SparsePolynomial
 
 # ---------------------------------------------------------------------------
 # Littlewood-Richardson coefficients
@@ -266,93 +262,3 @@ def ring_determinant(mat, one):
             return one - one
     return minors[(1 << n) - 1]
 
-
-def jacobi_trudi(lam):
-    """Determinant of complete homogeneous pieces h_{lam_i - i + j}.
-
-    Evaluates inside the ring of Schur expansions and lands back on
-    s_lam, which makes it a second, determinant-shaped route to the
-    same basis element.
-    """
-    lam = normalize_partition(lam)
-    n = len(lam)
-    if n == 0:
-        return SchurExpansion.one()
-
-    def h(p):
-        if p < 0:
-            return SchurExpansion.zero()
-        if p == 0:
-            return SchurExpansion.one()
-        return SchurExpansion.basis((p,))
-
-    mat = [[h(lam[i] - (i + 1) + (j + 1)) for j in range(n)] for i in range(n)]
-    return ring_determinant(mat, SchurExpansion.one())
-
-
-# ---------------------------------------------------------------------------
-# the tableau-polynomial oracle
-# ---------------------------------------------------------------------------
-
-_oracle_cache = {}
-
-
-def _strips_below(lam):
-    """All kappa with lam/kappa a horizontal strip (kappa interlaces lam)."""
-    k = len(lam)
-    out = []
-
-    def rec(i, acc):
-        if i == k:
-            out.append(tuple(x for x in acc if x))
-            return
-        lo = lam[i + 1] if i + 1 < k else 0
-        hi = min(lam[i], acc[-1]) if acc else lam[i]
-        for v in range(lo, hi + 1):
-            rec(i + 1, acc + [v])
-
-    rec(0, [])
-    return out
-
-
-def _schur_weights(lam, n):
-    """Weight-multiset of semistandard tableaux of shape lam, entries <= n.
-
-    A tableau is the chain of shapes occupied by entries <= i; each step
-    adds a horizontal strip.  Recursing on the largest entry aggregates
-    tableaux sharing a weight, so the cost scales with the number of
-    distinct monomials rather than the number of tableaux.
-    """
-    key = (lam, n)
-    hit = _oracle_cache.get(key)
-    if hit is not None:
-        return hit
-    if not lam:
-        out = {(0,) * n: 1}
-    elif n == 0:
-        out = {}
-    else:
-        total = sum(lam)
-        out = {}
-        for kappa in _strips_below(lam):
-            p = total - sum(kappa)
-            for wt, c in _schur_weights(kappa, n - 1).items():
-                wkey = wt + (p,)
-                out[wkey] = out.get(wkey, 0) + c
-    _oracle_cache[key] = out
-    return out
-
-
-def oracle_schur_polynomial(lam, n):
-    """The Schur polynomial s_lam(x_1..x_n) from tableau enumeration."""
-    lam = normalize_partition(lam)
-    if n < 0:
-        raise ValueError("variable count must be nonnegative")
-    return SparsePolynomial(_schur_weights(lam, n))
-
-
-def oracle_cache_clear():
-    """Release every kernel cache: tableau weights and Schubert
-    polynomials (they can get large in high degree)."""
-    _oracle_cache.clear()
-    _schubert_table.clear()

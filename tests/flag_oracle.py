@@ -11,12 +11,38 @@ which walks the transition tree of each term and builds no polynomial.
 Schubert polynomials and applies each x-monomial to the other factor's
 class one variable at a time, by Monk's rule inside S_n. It shares only the
 Monk step `_times_variable` with the kernel.
+
+`partition_to_osp` names the Grassmannian class of a partition as the
+two-step flag class of an ordered set partition, for the tests that check
+the two products against each other.
 """
 
-from schubcalc.flag import FlagClass, _times_variable, schubert_polynomial
-from schubcalc.indexing import is_minimal_rep, perm_pad, perm_strip
-from schubcalc.poly import SparsePolynomial
-from schubcalc.selftest import expand_in_schubert_basis
+from schubcalc.errors import BoxOverflow
+from schubcalc.flag import FlagClass, _times_variable
+from schubcalc.indexing import (
+    fits_in_box,
+    is_minimal_rep,
+    normalize_partition,
+    perm_pad,
+    perm_strip,
+)
+from schubcalc.selftest import SparsePolynomial, expand_in_schubert_basis, schubert_polynomial
+
+
+def partition_to_osp(lam, k, l):
+    """Partition in the k x l box -> two-block OSP of {1..k+l}.
+
+    The first block collects the jump positions lam_k + 1,
+    lam_{k-1} + 2, ..., lam_1 + k (the partition is padded with zeros
+    to k parts); the second block is the complement.
+    """
+    lam = normalize_partition(lam)
+    if not fits_in_box(lam, k, l):
+        raise BoxOverflow("partition %r does not fit in a %d x %d box" % (lam, k, l))
+    padded = lam + (0,) * (k - len(lam))
+    first = tuple(padded[k - j] + j for j in range(1, k + 1))
+    rest = tuple(x for x in range(1, k + l + 1) if x not in set(first))
+    return (first, rest)
 
 
 def ambient_size(p, n):
@@ -36,9 +62,9 @@ def polynomial_product(a, b):
     n = space.n
     out = {}
     for u, cu in a.terms.items():
-        pu = schubert_polynomial(u).poly
+        pu = schubert_polynomial(u)
         for v, cv in b.terms.items():
-            prod = pu * schubert_polynomial(v).poly
+            prod = pu * schubert_polynomial(v)
             if prod.is_zero():
                 continue
             m = ambient_size(prod, n)
@@ -81,7 +107,7 @@ def monomial_product(a, b):
         a, b = b, a
     poly = SparsePolynomial()
     for v, c in b.terms.items():
-        poly = poly + c * schubert_polynomial(v).poly
+        poly = poly + c * schubert_polynomial(v)
     space = a.space
     n = space.n
     memo = {(): a.terms}

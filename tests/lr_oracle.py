@@ -15,6 +15,8 @@ classes one pair of terms at a time, each pair through
 they check run one strip pass per term of one factor, seeded with the
 whole other class; these share neither the strip pass nor the seeding
 and merging across terms.
+
+`partitions_of` lists the partitions of one size, for the tests to sweep.
 """
 
 from schubcalc.grassmann import GrassmannClass
@@ -92,6 +94,18 @@ def count_lr_tableaux(lam, mu, nu):
         vals[i] = vals[j] if j >= 0 else 0
         j = right[i]
         tops[i] = vals[j] if j >= 0 else nvals
+
+
+def partitions_of(n, max_part=None):
+    """Yield partitions of n with parts bounded by max_part."""
+    if max_part is None:
+        max_part = n
+    if n == 0:
+        yield ()
+        return
+    for first in range(min(n, max_part), 0, -1):
+        for rest in partitions_of(n - first, first):
+            yield (first,) + rest
 
 
 def bounded_partitions(total, low, width, maxrows):

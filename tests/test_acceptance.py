@@ -11,7 +11,9 @@ import random
 import time
 
 from schubcalc.errors import DimensionMismatch
-from schubcalc.flag import FlagClass, FlagDescriptor, flag_integrate, flag_multiply, monk_multiply
+from flag_oracle import partition_to_osp
+from lr_oracle import partitions_of
+from schubcalc.flag import FlagClass, FlagDescriptor, flag_integrate, flag_multiply
 from schubcalc.grassmann import (
     GrassmannClass,
     GrassmannianDescriptor,
@@ -35,22 +37,15 @@ from schubcalc.halving import (
     real_double_multiply,
     real_lower_bound,
 )
-from schubcalc.indexing import (
-    partition_conjugate,
-    partition_double,
-    partition_to_osp,
-    partitions_in_box,
-    partitions_of,
-    perm_double,
-    perm_from_osp,
-    perm_swap_positions,
-)
-from schubcalc.schur import (
-    SchurExpansion,
+from schubcalc.indexing import partition_conjugate, partition_double, perm_double, perm_from_osp
+from schubcalc.schur import SchurExpansion, schur_multiply
+from schubcalc.selftest import (
     jacobi_trudi,
+    monk_multiply,
     oracle_cache_clear,
     oracle_schur_polynomial,
-    schur_multiply,
+    partitions_in_box,
+    perm_swap_positions,
 )
 
 

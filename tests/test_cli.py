@@ -597,16 +597,48 @@ def test_selftest_detects_mutation(monkeypatch, capsys):
     assert "FAIL" in out
 
 
-def test_importing_the_cli_leaves_the_selftest_unloaded():
-    # the self-test suites load only for `schubcalc selftest`, yet the
-    # package still serves run_selftest
+def test_importing_the_cli_leaves_the_selftest_unloaded(tmp_path):
+    # the self-test suites and the oracles load only for `schubcalc selftest`,
+    # not for a solve on any family, yet the package still serves their names
+    paths = [
+        write_problem(tmp_path, problem(GR24, [{"index": [1], "count": 4}]), "count.json"),
+        write_problem(
+            tmp_path,
+            problem(FL3, [{"index": [2, 1, 3], "count": 2}], mode="class"),
+            "class.json",
+        ),
+        write_problem(tmp_path, problem(GR4R8, [{"index": [2, 2], "count": 4}]), "real.json"),
+    ]
+    oracles = [
+        "divided_difference",
+        "expand_in_schubert_basis",
+        "jacobi_trudi",
+        "monk_multiply",
+        "oracle_schur_polynomial",
+        "run_selftest",
+        "schubert_polynomial",
+    ]
     script = (
-        "import sys, schubcalc.cli\n"
-        "assert 'schubcalc.selftest' not in sys.modules, sorted(sys.modules)\n"
+        "import io, sys, contextlib\n"
+        "from schubcalc.cli import main\n"
+        "for path in sys.argv[1:]:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert main(['solve', '--input', path]) == 0, path\n"
+        "for name in ('schubcalc.selftest', 'schubcalc.poly'):\n"
+        "    assert name not in sys.modules, sorted(sys.modules)\n"
         "import schubcalc\n"
-        "assert schubcalc.run_selftest.__module__ == 'schubcalc.selftest'\n"
+        "lazy = sorted(n for n in schubcalc.__all__ if n not in vars(schubcalc))\n"
+        f"assert lazy == {oracles!r}, lazy\n"
+        "import schubcalc.selftest as selftest\n"
+        "for name in lazy:\n"
+        "    assert getattr(schubcalc, name) is getattr(selftest, name), name\n"
     )
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *paths], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    star = "from schubcalc import *\nassert monk_multiply and schubert_polynomial\n"
+    proc = subprocess.run([sys.executable, "-c", star], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
 
 

@@ -10,8 +10,8 @@ from schubcalc.flag import FlagClass, FlagDescriptor
 from schubcalc.grassmann import GrassmannClass, GrassmannianDescriptor
 from schubcalc.halving import HalvingClass, HalvingSpaceDescriptor
 from schubcalc.indexing import perm_double
-from schubcalc.poly import SparsePolynomial
 from schubcalc.schur import SchurExpansion
+from schubcalc.selftest import SparsePolynomial
 
 # basis(key) builds a basis class; other is a class on another space (None
 # for Schur expansions, which have no space); bad() must raise error.

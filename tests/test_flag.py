@@ -2,35 +2,29 @@
 
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from schubcalc.errors import SpaceMismatch, SupportOutsideStaircase
-from schubcalc.flag import (
-    FlagClass,
-    FlagDescriptor,
+from flag_oracle import partition_to_osp
+from schubcalc.flag import FlagClass, FlagDescriptor, flag_integrate, flag_multiply
+from schubcalc.grassmann import GrassmannClass, GrassmannianDescriptor, gr_integrate
+from schubcalc.indexing import perm_from_osp, perm_length, perm_pad
+from schubcalc.selftest import (
+    SparsePolynomial,
     divided_difference,
-    flag_integrate,
-    flag_multiply,
+    expand_in_schubert_basis,
+    longest_perm,
     monk_multiply,
+    partitions_in_box,
+    perm_compose,
+    perm_inverse,
+    reduced_word,
     schubert_polynomial,
     staircase_monomial,
 )
-from schubcalc.grassmann import GrassmannClass, GrassmannianDescriptor, gr_integrate
-from schubcalc.indexing import (
-    partition_to_osp,
-    partitions_in_box,
-    perm_from_osp,
-    perm_inverse,
-    perm_length,
-    perm_pad,
-    reduced_word,
-    longest_perm,
-    perm_compose,
-)
-from schubcalc.poly import SparsePolynomial
-from schubcalc.selftest import expand_in_schubert_basis
 
 x1, x2, x3 = (SparsePolynomial.variable(i) for i in (1, 2, 3))
 FL3 = FlagDescriptor((1, 1, 1))
@@ -86,17 +80,17 @@ def test_schubert_s3_table():
         (3, 2, 1): x1 ** 2 * x2,
     }
     for w, expected in table.items():
-        assert schubert_polynomial(w).poly == expected, w
+        assert schubert_polynomial(w) == expected, w
 
 
 def test_schubert_stability_and_degree():
-    assert schubert_polynomial((2, 1)).poly == schubert_polynomial((2, 1, 3, 4)).poly
-    assert schubert_polynomial((1, 2, 3, 4)).poly == SparsePolynomial.one()
-    assert schubert_polynomial((4, 3, 2, 1)).poly == staircase_monomial(4)
+    assert schubert_polynomial((2, 1)) == schubert_polynomial((2, 1, 3, 4))
+    assert schubert_polynomial((1, 2, 3, 4)) == SparsePolynomial.one()
+    assert schubert_polynomial((4, 3, 2, 1)) == staircase_monomial(4)
     for w in all_perms(4):
         sp = schubert_polynomial(w)
-        assert {sum(e) for e in sp.poly.terms} == {perm_length(w)}
-        assert all(c > 0 for c in sp.poly.terms.values())
+        assert {sum(e) for e in sp.terms} == {perm_length(w)}
+        assert all(c > 0 for c in sp.terms.values())
 
 
 def test_schubert_reduced_word_independence():
@@ -109,7 +103,7 @@ def test_schubert_reduced_word_independence():
                 p = divided_difference(i, p)
             results.add(p)
         assert len(results) == 1, w
-        assert results.pop() == schubert_polynomial(w).poly
+        assert results.pop() == schubert_polynomial(w)
 
 
 def test_expand_examples():
@@ -132,7 +126,7 @@ def test_expand_roundtrip_s4():
         combo = {w: rng.randint(-5, 5) for w in rng.sample(perms, 4)}
         p = SparsePolynomial.zero()
         for w, c in combo.items():
-            p = p + c * schubert_polynomial(w).poly
+            p = p + c * schubert_polynomial(w)
         got = expand_in_schubert_basis(p, 4)
         assert got == {w: c for w, c in combo.items() if c}
 
@@ -146,6 +140,22 @@ def test_flag_class_validation():
         flag_multiply(FlagClass.unit(FL3), FlagClass.unit(FL4))
     with pytest.raises(ValueError):
         FlagDescriptor((2, 0))
+
+
+def test_complex_dimension_is_the_sum_of_block_products():
+    rng = random.Random(3)
+    for _ in range(200):
+        dims = tuple(rng.randint(1, 6) for _ in range(rng.randint(1, 12)))
+        pairwise = sum(
+            dims[i] * dims[j] for i in range(len(dims)) for j in range(i + 1, len(dims))
+        )
+        assert FlagDescriptor(dims).complex_dimension == pairwise, dims
+    # one pass over the blocks; the pairwise sum took 0.67 s at n = 4000,
+    # so about half an hour here
+    n = 200_000
+    start = time.perf_counter()
+    assert FlagDescriptor((1,) * n).complex_dimension == n * (n - 1) // 2
+    assert time.perf_counter() - start < 2.0
 
 
 def test_flag_multiply_s3():

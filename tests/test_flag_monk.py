@@ -19,12 +19,14 @@ from schubcalc.flag import (
     _times_variable,
     flag_integrate,
     flag_multiply,
+)
+from schubcalc.indexing import is_minimal_rep, perm_length, perm_pad, perm_strip
+from schubcalc.selftest import (
+    SparsePolynomial,
+    expand_in_schubert_basis,
     monk_multiply,
     schubert_polynomial,
 )
-from schubcalc.indexing import is_minimal_rep, perm_length, perm_pad, perm_strip
-from schubcalc.poly import SparsePolynomial
-from schubcalc.selftest import expand_in_schubert_basis
 
 from flag_oracle import monomial_product, polynomial_product
 
@@ -79,7 +81,7 @@ def test_variable_times_schubert_class_in_s5():
     """x_i S_w for every w in S_5, against the expanded polynomial product."""
     n = 5
     for w in itertools.permutations(range(1, n + 1)):
-        poly = schubert_polynomial(w).poly
+        poly = schubert_polynomial(w)
         for i in range(1, n):
             product = SparsePolynomial.variable(i) * poly
             want = {}

@@ -27,8 +27,9 @@ from schubcalc.grassmann import (
     tautological_chern_difference,
     thom_porteous,
 )
-from schubcalc.indexing import partition_size, partitions_in_box
+from schubcalc.indexing import partition_size
 from schubcalc.schur import ring_determinant
+from schubcalc.selftest import partitions_in_box
 
 GR24 = GrassmannianDescriptor(2, 4)
 GR25 = GrassmannianDescriptor(2, 5)

@@ -19,11 +19,8 @@ from schubcalc.halving import (
     real_double_multiply,
     real_lower_bound,
 )
-from schubcalc.indexing import (
-    partition_double,
-    partitions_in_box,
-    perm_double,
-)
+from schubcalc.indexing import partition_double, perm_double
+from schubcalc.selftest import partitions_in_box
 
 GR8R16 = HalvingSpaceDescriptor.real_even_grassmannian(8, 16)
 GR4R8 = HalvingSpaceDescriptor.real_even_grassmannian(4, 8)

@@ -2,7 +2,9 @@
 
 The OSP helpers and the Lehmer code below are oracles: each computes on
 the blocks (or the inversions) directly, and the tests check the
-permutation forms in `schubcalc.indexing` against them.
+permutation forms in `schubcalc.indexing` against them.  The helpers that
+only the oracles use come from `schubcalc.selftest`, `partitions_of` from
+`lr_oracle` and `partition_to_osp` from `flag_oracle`.
 """
 
 import itertools
@@ -10,12 +12,13 @@ import itertools
 import pytest
 from hypothesis import given, strategies as st
 
+from flag_oracle import partition_to_osp
+from lr_oracle import partitions_of
 from schubcalc.errors import BoxOverflow, NotADouble
 from schubcalc.indexing import (
     fits_in_box,
     identity_perm,
     is_minimal_rep,
-    longest_perm,
     normalize_osp,
     normalize_partition,
     osp_from_perm,
@@ -24,19 +27,20 @@ from schubcalc.indexing import (
     partition_double,
     partition_halve,
     partition_size,
-    partition_to_osp,
-    partitions_in_box,
-    partitions_of,
-    perm_compose,
-    perm_descents,
     perm_double,
-    perm_from_code,
     perm_from_osp,
     perm_halve,
-    perm_inverse,
     perm_length,
     perm_pad,
     perm_strip,
+)
+from schubcalc.selftest import (
+    longest_perm,
+    partitions_in_box,
+    perm_compose,
+    perm_descents,
+    perm_from_code,
+    perm_inverse,
     perm_swap_positions,
     reduced_word,
 )

@@ -4,10 +4,17 @@ import random
 
 import pytest
 
-from lr_oracle import count_lr_tableaux, expand_by_candidates, pieri, schur_multiply_by_pairs
+from lr_oracle import (
+    count_lr_tableaux,
+    expand_by_candidates,
+    partitions_of,
+    pieri,
+    schur_multiply_by_pairs,
+)
 from schubcalc.grassmann import GrassmannClass, GrassmannianDescriptor, gr_multiply
-from schubcalc.indexing import partition_contains, partitions_in_box, partitions_of
+from schubcalc.indexing import partition_contains
 from schubcalc.schur import SchurExpansion, lr_coefficient, schur_multiply
+from schubcalc.selftest import partitions_in_box
 
 SMALL = [()] + [lam for size in range(1, 7) for lam in partitions_of(size)]
 

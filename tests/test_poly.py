@@ -4,7 +4,7 @@ from fractions import Fraction
 
 from hypothesis import given, strategies as st
 
-from schubcalc.poly import SparsePolynomial
+from schubcalc.selftest import SparsePolynomial
 
 
 def x(i):

@@ -9,24 +9,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from det_oracle import oracle_determinant
-from lr_oracle import pieri
-from schubcalc.indexing import (
-    partition_conjugate,
-    partition_size,
-    partitions_of,
-)
-from schubcalc.poly import SparsePolynomial
+from lr_oracle import partitions_of, pieri
+from schubcalc.indexing import partition_conjugate, partition_size
 import schubcalc
-from schubcalc.flag import _schubert_table, schubert_polynomial
-from schubcalc.schur import (
-    SchurExpansion,
+import schubcalc.selftest
+from schubcalc.schur import SchurExpansion, lr_coefficient, ring_determinant, schur_multiply
+from schubcalc.selftest import (
+    SparsePolynomial,
     _oracle_cache,
+    _schubert_table,
     jacobi_trudi,
-    lr_coefficient,
     oracle_cache_clear,
     oracle_schur_polynomial,
-    ring_determinant,
-    schur_multiply,
+    schubert_polynomial,
 )
 
 
@@ -265,6 +260,31 @@ def test_ring_determinant_matches_column_choice_oracle():
                 row[n - 1 - trial % n] = 0
         mat = [[Z(v) for v in row] for row in rows]
         assert ring_determinant(mat, Z(1)).v == oracle_determinant(mat, Z(1)).v, rows
+
+
+def _code_names(fn):
+    """Every global and attribute name fn's code reads, nested code included."""
+    names, stack = set(), [fn.__code__]
+    while stack:
+        code = stack.pop()
+        names.update(code.co_names)
+        stack.extend(c for c in code.co_consts if hasattr(c, "co_names"))
+    return names
+
+
+_LR_KERNELS = {"_strips", "_strip_pass", "_lr_product", "schur_multiply"}
+_CHECKED_KERNELS = {
+    "monk_multiply": {"_times_variable", "_transition", "_schubert_times", "flag_multiply"},
+    "oracle_schur_polynomial": _LR_KERNELS,
+    "_schur_weights": _LR_KERNELS,
+    "_strips_below": _LR_KERNELS,
+}
+
+
+@pytest.mark.parametrize("oracle", sorted(_CHECKED_KERNELS))
+def test_the_oracles_name_none_of_the_kernels_they_check(oracle):
+    names = _code_names(getattr(schubcalc.selftest, oracle))
+    assert not names & _CHECKED_KERNELS[oracle]
 
 
 def test_oracle_cache_clear_empties_every_kernel_cache():
