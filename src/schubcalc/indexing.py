@@ -137,9 +137,23 @@ def perm_pad(w, n):
 
 
 def perm_length(w):
-    """Coxeter length: number of inversions."""
-    n = len(w)
-    return sum(1 for i in range(n) for j in range(i + 1, n) if w[i] > w[j])
+    """Coxeter length: number of inversions, in O(n log n).
+
+    Reading w from the right, a Fenwick tree over the values counts the
+    entries already read (those to the right) that are smaller.
+    """
+    size = max(w, default=0) + 1
+    tree = [0] * size
+    total = 0
+    for v in reversed(w):
+        i = v - 1
+        while i:
+            total += tree[i]
+            i &= i - 1
+        while v < size:
+            tree[v] += 1
+            v += v & -v
+    return total
 
 
 # ---------------------------------------------------------------------------

@@ -22,10 +22,19 @@ short of nu_i once letter i is placed; by c(lam, mu; nu) = c(mu, lam; nu)
 = c(lam', mu'; nu') the letters come from the factor with the fewest
 rows.
 
+Most letters are placed inside the pass loop itself, which builds every
+new shape by tuple slicing.  A one-box letter (every letter of s1, s11
+and s111, the second of s21) takes one scan of the rows below the
+previous letter's top row, or of every row for the first letter.  The first letter, whose strip no lattice
+condition limits, is spread over the rows' rooms by a walk over the
+compositions of its size.  Only a later letter of two or more boxes
+asks _strips for its strips.
+
 The former kernels, a per-box tableau count, one such count per
-candidate nu and the Grassmannian product one pair of terms at a time,
-are kept in tests/lr_oracle.py as oracles for the strip pass, next to
-the Pieri rule for one-row and one-column factors.  The independent
+candidate nu, the Grassmannian product one pair of terms at a time and
+the strip pass that took every letter's strips from _strips, are kept
+in tests/lr_oracle.py as oracles for the strip pass, next to the Pieri
+rule for one-row and one-column factors.  The independent
 references for all of them, the tableau Schur polynomial and the
 Jacobi-Trudi determinant, live in `selftest`.
 """
@@ -128,30 +137,107 @@ def _strip_pass(seeds, mu, caps, fill):
     and partial tableaux that reach the same shape with the same last strip
     are merged with their multiplicities added, whichever seed they came
     from.  A state whose multiplicity cancels to zero is not extended.
+
+    A layer between letters is keyed by (shape, last strip); a one-box
+    strip is kept as its row.  The last layer is keyed by the shape alone
+    and returned as it is.  Each kind of letter is placed its own way:
+
+    * a one-box letter by one scan of the rows below the previous
+      letter's top row (the rows where the lattice count `seen` is
+      positive; every row for the first letter), wherever the cap and
+      the row above leave room;
+    * the first letter, with more boxes, by a walk over the compositions
+      of its size into the rooms of the rows (no lattice limit applies);
+    * any other letter by the strips of _strips.
+
+    The new shapes are built by tuple slicing.
     """
-    layer = {(lam, None): c for lam, c in seeds.items()}
+    last = len(mu) - 1
+    ncaps = len(caps)
+    layer = seeds
     for i, size in enumerate(mu):
-        keep = i + 1 < len(mu)
+        keep = i < last
         nxt = {}
-        for (shape, prev), mult in layer.items():
+        for state, mult in layer.items():
             if not mult:
                 continue
+            if i:
+                shape, prev = state
+            else:
+                shape, prev = state, None
             n = len(shape)
-            for strip in _strips(shape, prev, size, caps):
-                new = list(shape)
-                for r, a in strip:
-                    if r < n:
-                        new[r] += a
-                    else:
-                        new.append(a)
-                # letter i lands in row i or below and the lattice condition
-                # keeps later letters below row i, so row i is now final
-                if fill and new[i] != caps[i]:
+            stop = n + 1 if n < ncaps else ncaps
+            # each branch adds mult to nxt at every new shape; letter i lands
+            # in row i or below and the lattice condition keeps later letters
+            # below row i, so with `fill` a shape whose row i is not caps[i]
+            # is dropped
+            if size == 1:
+                if prev is None:
+                    start = 0
+                elif mu[i - 1] == 1:
+                    start = prev + 1
+                else:
+                    start = prev[0][0] + 1
+                if start >= stop:
                     continue
-                key = (tuple(new), strip if keep else None)
-                nxt[key] = nxt.get(key, 0) + mult
+                above = shape[start - 1] if start else caps[0]
+                for r in range(start, stop):
+                    here = shape[r] if r < n else 0
+                    if above > caps[r]:
+                        above = caps[r]
+                    if above > here:
+                        new = shape[:r] + (here + 1,) + shape[r + 1:]
+                        if not fill or new[i] == caps[i]:
+                            key = (new, r) if keep else new
+                            nxt[key] = nxt.get(key, 0) + mult
+                    above = here
+            elif prev is None:
+                rows, above = [], caps[0] if ncaps else 0
+                for r in range(stop):
+                    here = shape[r] if r < n else 0
+                    if above > caps[r]:
+                        above = caps[r]
+                    if above > here:
+                        rows.append((r, here, above - here))
+                    above = here
+                # tail[j]: the room in rows[j:]
+                tail = [0] * (len(rows) + 1)
+                for j in range(len(rows) - 1, -1, -1):
+                    tail[j] = tail[j + 1] + rows[j][2]
+                stack = [(0, size, shape, ())]
+                while stack:
+                    first, left, new, strip = stack.pop()
+                    for j in range(first, len(rows)):
+                        if tail[j] < left:
+                            break
+                        r, here, room = rows[j]
+                        lo = left - tail[j + 1]
+                        for a in range(lo if lo > 1 else 1, (room if room < left else left) + 1):
+                            grown = new[:r] + (here + a,) + new[r + 1:]
+                            if a < left:
+                                more = strip + ((r, a),) if keep else None
+                                stack.append((j + 1, left - a, grown, more))
+                            elif not fill or grown[i] == caps[i]:
+                                key = (grown, strip + ((r, a),)) if keep else grown
+                                nxt[key] = nxt.get(key, 0) + mult
+            else:
+                for strip in _strips(shape, prev, size, caps):
+                    if len(strip) == 1:
+                        (r, a), = strip
+                        new = shape[:r] + ((shape[r] if r < n else 0) + a,) + shape[r + 1:]
+                    else:
+                        new = list(shape)
+                        for r, a in strip:
+                            if r < n:
+                                new[r] += a
+                            else:
+                                new.append(a)
+                        new = tuple(new)
+                    if not fill or new[i] == caps[i]:
+                        key = (new, strip) if keep else new
+                        nxt[key] = nxt.get(key, 0) + mult
         layer = nxt
-    return {nu: c for (nu, _), c in layer.items()}
+    return layer
 
 
 def _lr_product(a, b, caps):

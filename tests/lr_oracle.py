@@ -16,6 +16,13 @@ they check run one strip pass per term of one factor, seeded with the
 whole other class; these share neither the strip pass nor the seeding
 and merging across terms.
 
+`strip_pass_reference` is the strip pass as it ran before one-box
+letters and first-letter strips were placed inside the pass loop: every
+letter's strips come from `_reference_strips`, the new shapes are built
+as lists, and every layer, the last one too, is keyed by (shape, last
+strip).  It takes the arguments of `schubcalc.schur._strip_pass` and
+must give the same dictionary, zero entries included.
+
 `partitions_of` lists the partitions of one size, for the tests to sweep.
 """
 
@@ -94,6 +101,97 @@ def count_lr_tableaux(lam, mu, nu):
         vals[i] = vals[j] if j >= 0 else 0
         j = right[i]
         tops[i] = vals[j] if j >= 0 else nvals
+
+
+def _reference_strips(shape, prev, size, caps):
+    """Horizontal strips of `size` boxes that can be added to `shape`.
+
+    Each strip is a tuple of (row, boxes) pairs, rows increasing.  Row r
+    may hold at most caps[r] boxes and never passes the old row above it;
+    no strip reaches row len(caps).  When `prev` (the previous letter's
+    strip) is given, the new letter keeps the lattice condition: through
+    each row it occurs at most as often as the previous letter does in the
+    rows above.
+    """
+    rows, room, limit = [], [], []
+    above, k = caps[0], 0
+    # seen: the previous letter's boxes in the rows above row r
+    seen = size if prev is None else 0
+    prev = prev or ()
+    n, m = len(shape), len(prev)
+    for r in range(min(n + 1, len(caps))):
+        here = shape[r] if r < n else 0
+        while k < m and prev[k][0] < r:
+            seen += prev[k][1]
+            k += 1
+        cap = caps[r]
+        if above > cap:
+            above = cap
+        if above > here and seen:
+            rows.append(r)
+            room.append(min(above - here, seen))
+            limit.append(seen)
+        above = here
+    if size == 1:
+        return [((r, 1),) for r in rows]
+    tail = [0] * (len(rows) + 1)
+    for j in range(len(rows) - 1, -1, -1):
+        tail[j] = tail[j + 1] + room[j]
+    if tail[0] < size:
+        return []
+    out = []
+    stack = [(0, 0, ())]
+    while stack:
+        j, used, adds = stack.pop()
+        if used == size:
+            out.append(adds)
+            continue
+        left = size - used
+        hi = min(room[j], left, limit[j] - used)
+        lo = max(0, left - tail[j + 1])
+        if lo == 0:
+            stack.append((j + 1, used, adds))
+            lo = 1
+        r = rows[j]
+        for a in range(lo, hi + 1):
+            stack.append((j + 1, used + a, adds + ((r, a),)))
+    return out
+
+
+def strip_pass_reference(seeds, mu, caps, fill):
+    """{nu: sum of c * c_{lam,mu}^nu over the seeds lam: c} for every nu
+    with at most caps[r] boxes in row r; with `fill`, only nu = caps is
+    wanted.
+
+    Starting from every seed shape at once, the letters of mu are added one
+    at a time, each as a horizontal strip that keeps the lattice condition,
+    and partial tableaux that reach the same shape with the same last strip
+    are merged with their multiplicities added, whichever seed they came
+    from.  A state whose multiplicity cancels to zero is not extended.
+    """
+    layer = {(lam, None): c for lam, c in seeds.items()}
+    for i, size in enumerate(mu):
+        keep = i + 1 < len(mu)
+        nxt = {}
+        for (shape, prev), mult in layer.items():
+            if not mult:
+                continue
+            n = len(shape)
+            for strip in _reference_strips(shape, prev, size, caps):
+                new = list(shape)
+                for r, a in strip:
+                    if r < n:
+                        new[r] += a
+                    else:
+                        new.append(a)
+                # letter i lands in row i or below and the lattice condition
+                # keeps later letters below row i, so row i is now final
+                if fill and new[i] != caps[i]:
+                    continue
+                key = (tuple(new), strip if keep else None)
+                nxt[key] = nxt.get(key, 0) + mult
+        layer = nxt
+    return {nu: c for (nu, _), c in layer.items()}
 
 
 def partitions_of(n, max_part=None):

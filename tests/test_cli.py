@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from importlib.metadata import EntryPoint
 from pathlib import Path
 
@@ -303,6 +304,21 @@ def test_unmapped_domain_error_exits_three(monkeypatch, capsys, tmp_path):
     assert out == ""
     assert "error: DegreeOutOfRange: no Chern class in degree 9" in err
     assert "Traceback" not in err
+
+
+def test_long_flag_keys_are_rejected_quickly(capsys, tmp_path):
+    # 20 conditions of the longest permutation of S_3000: their lengths are
+    # summed before the degree is compared with the dimension, so counting
+    # inversions pair by pair (n^2/2 comparisons each) took seconds
+    n = 3000
+    longest = {"index": list(range(n, 0, -1))}
+    payload = problem({"type": "complex_flag", "dims": [1] * n}, [longest] * 20)
+    start = time.perf_counter()
+    code, out, err = solve_json(capsys, tmp_path, payload)
+    assert time.perf_counter() - start < 2.0
+    assert code == 3
+    assert out == ""
+    assert "fill degree %d" % (20 * n * (n - 1) // 2) in err
 
 
 def test_library_solve_all_families():

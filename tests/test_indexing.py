@@ -8,6 +8,7 @@ only the oracles use come from `schubcalc.selftest`, `partitions_of` from
 """
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -295,6 +296,21 @@ def test_perm_basics():
     assert perm_strip((2, 1, 3, 4)) == (2, 1)
     assert perm_pad((2, 1), 4) == (2, 1, 3, 4)
     assert perm_length(longest_perm(5)) == 10
+
+
+def _inversions_by_pairs(w):
+    return sum(1 for i in range(len(w)) for j in range(i + 1, len(w)) if w[i] > w[j])
+
+
+def test_perm_length_counts_the_inversions():
+    for n in range(1, 7):
+        for w in itertools.permutations(range(1, n + 1)):
+            assert perm_length(w) == _inversions_by_pairs(w), w
+    rng = random.Random(3)
+    for _ in range(300):
+        n = rng.randint(0, 50)
+        w = tuple(rng.sample(range(1, n + 1), n))
+        assert perm_length(w) == _inversions_by_pairs(w), w
 
 
 def test_perm_code_roundtrip_s5():

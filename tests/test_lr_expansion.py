@@ -10,10 +10,11 @@ from lr_oracle import (
     partitions_of,
     pieri,
     schur_multiply_by_pairs,
+    strip_pass_reference,
 )
 from schubcalc.grassmann import GrassmannClass, GrassmannianDescriptor, gr_multiply
 from schubcalc.indexing import partition_contains
-from schubcalc.schur import SchurExpansion, lr_coefficient, schur_multiply
+from schubcalc.schur import SchurExpansion, _strip_pass, lr_coefficient, schur_multiply
 from schubcalc.selftest import partitions_in_box
 
 SMALL = [()] + [lam for size in range(1, 7) for lam in partitions_of(size)]
@@ -112,3 +113,49 @@ def test_class_seeded_schur_product_matches_the_pairwise_oracle():
     assert (s((2,)) - s((1, 1))) * (s((2,)) + s((1, 1))) == (
         s((4,)) + s((3, 1)) - s((2, 1, 1)) - s((1, 1, 1, 1))
     )
+
+
+LETTERS = [mu for mu in SMALL if mu and len(mu) <= 4]
+
+
+def _signed_seeds(rng, shapes):
+    chosen = rng.sample(shapes, k=min(len(shapes), rng.randint(1, 5)))
+    return {lam: rng.choice((-3, -2, -1, 1, 2, 3)) for lam in chosen}
+
+
+def _strip_pass_cases(rng, trials):
+    """(seeds, mu, caps, fill) as the products and lr_coefficient pass them."""
+    s2_minus_s11 = {(2,): 1, (1, 1): -1}
+    # s2 * s2 - s11 * s2 leaves s31 at 0; with s111 a state cancels mid-pass
+    yield s2_minus_s11, (2,), (4,) * 4, False
+    yield s2_minus_s11, (1, 1, 1), (5,) * 5, False
+    yield s2_minus_s11, (2, 1, 1), (3,) * 5, False
+    for _ in range(trials):
+        mu = rng.choice(LETTERS)
+        kind = rng.choice(("box", "unbounded", "fill"))
+        if kind == "box":
+            rows, cols = rng.randint(1, 5), rng.randint(1, 5)
+            seeds = _signed_seeds(rng, list(partitions_in_box(rows, cols)))
+            yield seeds, mu, (cols,) * rows, False
+        elif kind == "unbounded":
+            seeds = _signed_seeds(rng, SMALL)
+            width = max((lam[0] for lam in seeds if lam), default=0) + mu[0]
+            rows = max(map(len, seeds)) + len(mu)
+            yield seeds, mu, (width,) * rows, False
+        else:
+            seeds = _signed_seeds(rng, [lam for lam in SMALL if len(lam) >= len(mu)])
+            lam = next(iter(seeds))
+            nus = [
+                nu for nu in partitions_of(sum(lam) + sum(mu))
+                if partition_contains(nu, lam) and partition_contains(nu, mu)
+            ]
+            yield seeds, mu, rng.choice(nus), True
+
+
+def test_strip_pass_matches_the_reference_pass():
+    # the same dictionary, cancelled entries included, for seed classes of
+    # 1-5 signed terms in a box, without a bound, and capped by nu with fill
+    rng = random.Random(29)
+    for seeds, mu, caps, fill in _strip_pass_cases(rng, 3000):
+        want = strip_pass_reference(dict(seeds), mu, caps, fill)
+        assert _strip_pass(dict(seeds), mu, caps, fill) == want, (seeds, mu, caps, fill)

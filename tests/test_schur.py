@@ -9,9 +9,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from det_oracle import oracle_determinant
+import lr_oracle
 from lr_oracle import partitions_of, pieri
 from schubcalc.indexing import partition_conjugate, partition_size
 import schubcalc
+import schubcalc.schur
 import schubcalc.selftest
 from schubcalc.schur import SchurExpansion, lr_coefficient, ring_determinant, schur_multiply
 from schubcalc.selftest import (
@@ -272,19 +274,25 @@ def _code_names(fn):
     return names
 
 
-_LR_KERNELS = {"_strips", "_strip_pass", "_lr_product", "schur_multiply"}
+_LR_KERNELS = {"_strips", "_strip_pass", "_lr_product", "schur_multiply", "lr_coefficient"}
 _CHECKED_KERNELS = {
     "monk_multiply": {"_times_variable", "_transition", "_schubert_times", "flag_multiply"},
     "oracle_schur_polynomial": _LR_KERNELS,
     "_schur_weights": _LR_KERNELS,
     "_strips_below": _LR_KERNELS,
+    "strip_pass_reference": _LR_KERNELS,
+    "_reference_strips": _LR_KERNELS,
 }
 
 
 @pytest.mark.parametrize("oracle", sorted(_CHECKED_KERNELS))
 def test_the_oracles_name_none_of_the_kernels_they_check(oracle):
-    names = _code_names(getattr(schubcalc.selftest, oracle))
-    assert not names & _CHECKED_KERNELS[oracle]
+    fn = getattr(schubcalc.selftest, oracle, None) or getattr(lr_oracle, oracle)
+    assert not _code_names(fn) & _CHECKED_KERNELS[oracle]
+
+
+def test_the_checked_lr_kernels_exist():
+    assert all(hasattr(schubcalc.schur, name) for name in _LR_KERNELS)
 
 
 def test_oracle_cache_clear_empties_every_kernel_cache():
