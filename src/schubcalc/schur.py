@@ -22,17 +22,18 @@ short of nu_i once letter i is placed; by c(lam, mu; nu) = c(mu, lam; nu)
 = c(lam', mu'; nu') the letters come from the factor with the fewest
 rows.
 
-Most letters are placed inside the pass loop itself, which builds every
-new shape by tuple slicing.  A one-box letter (every letter of s1, s11
-and s111, the second of s21) takes one scan of the rows below the
-previous letter's top row, or of every row for the first letter.  The first letter, whose strip no lattice
-condition limits, is spread over the rows' rooms by a walk over the
-compositions of its size.  Only a later letter of two or more boxes
-asks _strips for its strips.
+Every letter is placed inside the pass loop itself, which builds every
+new shape by tuple slicing, in one of two ways.  A one-box letter (every
+letter of s1, s11 and s111, the second of s21) takes one scan of the
+rows below the previous letter's top row, or of every row for the first
+letter.  A letter of two or more boxes is spread over the rows' rooms by
+a walk over the compositions of its size, each row bounded by the
+lattice condition.
 
 The former kernels, a per-box tableau count, one such count per
 candidate nu, the Grassmannian product one pair of terms at a time and
-the strip pass that took every letter's strips from _strips, are kept
+the strip pass that took every letter's strips from a separate strip
+enumeration (now tests/lr_oracle.py:_reference_strips), are kept
 in tests/lr_oracle.py as oracles for the strip pass, next to the Pieri
 rule for one-row and one-column factors.  The independent
 references for all of them, the tableau Schur polynomial and the
@@ -64,67 +65,14 @@ def lr_coefficient(lam, mu, nu):
     if not lam or not mu:
         return 1
     # c(lam, mu; nu) = c(mu, lam; nu) = c(lam', mu'; nu'), and the pass adds
-    # one letter per row of mu: take the letters from the factor with fewest rows
-    if min(lam[0], mu[0]) < min(len(lam), len(mu)):
+    # one letter per row of mu: take the letters from the factor with fewest
+    # rows, but conjugate only when nu' is no longer than nu, so the work
+    # follows the lengths of the inputs and not the size of a row
+    if min(lam[0], mu[0]) < min(len(lam), len(mu)) and nu[0] <= len(nu):
         lam, mu, nu = (partition_conjugate(p) for p in (lam, mu, nu))
     if len(mu) > len(lam):
         lam, mu = mu, lam
     return _strip_pass({lam: 1}, mu, nu, True).get(nu, 0)
-
-
-def _strips(shape, prev, size, caps):
-    """Horizontal strips of `size` boxes that can be added to `shape`.
-
-    Each strip is a tuple of (row, boxes) pairs, rows increasing.  Row r
-    may hold at most caps[r] boxes and never passes the old row above it;
-    no strip reaches row len(caps).  When `prev` (the previous letter's
-    strip) is given, the new letter keeps the lattice condition: through
-    each row it occurs at most as often as the previous letter does in the
-    rows above.
-    """
-    rows, room, limit = [], [], []
-    above, k = caps[0], 0
-    # seen: the previous letter's boxes in the rows above row r
-    seen = size if prev is None else 0
-    prev = prev or ()
-    n, m = len(shape), len(prev)
-    for r in range(min(n + 1, len(caps))):
-        here = shape[r] if r < n else 0
-        while k < m and prev[k][0] < r:
-            seen += prev[k][1]
-            k += 1
-        cap = caps[r]
-        if above > cap:
-            above = cap
-        if above > here and seen:
-            rows.append(r)
-            room.append(min(above - here, seen))
-            limit.append(seen)
-        above = here
-    if size == 1:
-        return [((r, 1),) for r in rows]
-    tail = [0] * (len(rows) + 1)
-    for j in range(len(rows) - 1, -1, -1):
-        tail[j] = tail[j + 1] + room[j]
-    if tail[0] < size:
-        return []
-    out = []
-    stack = [(0, 0, ())]
-    while stack:
-        j, used, adds = stack.pop()
-        if used == size:
-            out.append(adds)
-            continue
-        left = size - used
-        hi = min(room[j], left, limit[j] - used)
-        lo = max(0, left - tail[j + 1])
-        if lo == 0:
-            stack.append((j + 1, used, adds))
-            lo = 1
-        r = rows[j]
-        for a in range(lo, hi + 1):
-            stack.append((j + 1, used + a, adds + ((r, a),)))
-    return out
 
 
 def _strip_pass(seeds, mu, caps, fill):
@@ -140,15 +88,15 @@ def _strip_pass(seeds, mu, caps, fill):
 
     A layer between letters is keyed by (shape, last strip); a one-box
     strip is kept as its row.  The last layer is keyed by the shape alone
-    and returned as it is.  Each kind of letter is placed its own way:
+    and returned as it is.  A letter is placed in one of two ways, both
+    only in the rows below the previous letter's top row (every row for
+    the first letter) and wherever the cap and the row above leave room:
 
-    * a one-box letter by one scan of the rows below the previous
-      letter's top row (the rows where the lattice count `seen` is
-      positive; every row for the first letter), wherever the cap and
-      the row above leave room;
-    * the first letter, with more boxes, by a walk over the compositions
-      of its size into the rooms of the rows (no lattice limit applies);
-    * any other letter by the strips of _strips.
+    * a one-box letter by one scan of those rows;
+    * a letter of two or more boxes by a walk over the compositions of
+      its size into the rooms of those rows, where through each row it
+      holds at most `seen` boxes, the previous strip's boxes in the rows
+      above (the lattice condition; for the first letter, its size).
 
     The new shapes are built by tuple slicing.
     """
@@ -161,26 +109,23 @@ def _strip_pass(seeds, mu, caps, fill):
         for state, mult in layer.items():
             if not mult:
                 continue
+            # letter i goes below the previous letter's top row (the lattice
+            # condition), anywhere for the first letter
             if i:
                 shape, prev = state
+                start = (prev if mu[i - 1] == 1 else prev[0][0]) + 1
             else:
-                shape, prev = state, None
+                shape, prev, start = state, (), 0
             n = len(shape)
             stop = n + 1 if n < ncaps else ncaps
+            if start >= stop:
+                continue
+            above = shape[start - 1] if start else caps[0]
             # each branch adds mult to nxt at every new shape; letter i lands
             # in row i or below and the lattice condition keeps later letters
             # below row i, so with `fill` a shape whose row i is not caps[i]
             # is dropped
             if size == 1:
-                if prev is None:
-                    start = 0
-                elif mu[i - 1] == 1:
-                    start = prev + 1
-                else:
-                    start = prev[0][0] + 1
-                if start >= stop:
-                    continue
-                above = shape[start - 1] if start else caps[0]
                 for r in range(start, stop):
                     here = shape[r] if r < n else 0
                     if above > caps[r]:
@@ -191,14 +136,23 @@ def _strip_pass(seeds, mu, caps, fill):
                             key = (new, r) if keep else new
                             nxt[key] = nxt.get(key, 0) + mult
                     above = here
-            elif prev is None:
-                rows, above = [], caps[0] if ncaps else 0
-                for r in range(stop):
+            else:
+                # seen: the previous strip's boxes in the rows above row r,
+                # which bounds this letter's boxes through row r; the first
+                # letter is bounded by its size alone.  short: the boxes
+                # that bound keeps out of rows[:j + 1]
+                seen = 0 if i else size
+                rows, k, m = [], 0, len(prev)
+                for r in range(start, stop):
+                    while k < m and prev[k][0] < r:
+                        seen += prev[k][1]
+                        k += 1
                     here = shape[r] if r < n else 0
                     if above > caps[r]:
                         above = caps[r]
                     if above > here:
-                        rows.append((r, here, above - here))
+                        room = above - here if above - here < seen else seen
+                        rows.append((r, here, room, size - seen if seen < size else 0))
                     above = here
                 # tail[j]: the room in rows[j:]
                 tail = [0] * (len(rows) + 1)
@@ -210,9 +164,10 @@ def _strip_pass(seeds, mu, caps, fill):
                     for j in range(first, len(rows)):
                         if tail[j] < left:
                             break
-                        r, here, room = rows[j]
+                        r, here, room, short = rows[j]
                         lo = left - tail[j + 1]
-                        for a in range(lo if lo > 1 else 1, (room if room < left else left) + 1):
+                        hi = left - short
+                        for a in range(lo if lo > 1 else 1, (room if room < hi else hi) + 1):
                             grown = new[:r] + (here + a,) + new[r + 1:]
                             if a < left:
                                 more = strip + ((r, a),) if keep else None
@@ -220,22 +175,6 @@ def _strip_pass(seeds, mu, caps, fill):
                             elif not fill or grown[i] == caps[i]:
                                 key = (grown, strip + ((r, a),)) if keep else grown
                                 nxt[key] = nxt.get(key, 0) + mult
-            else:
-                for strip in _strips(shape, prev, size, caps):
-                    if len(strip) == 1:
-                        (r, a), = strip
-                        new = shape[:r] + ((shape[r] if r < n else 0) + a,) + shape[r + 1:]
-                    else:
-                        new = list(shape)
-                        for r, a in strip:
-                            if r < n:
-                                new[r] += a
-                            else:
-                                new.append(a)
-                        new = tuple(new)
-                    if not fill or new[i] == caps[i]:
-                        key = (new, strip) if keep else new
-                        nxt[key] = nxt.get(key, 0) + mult
         layer = nxt
     return layer
 

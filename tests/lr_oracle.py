@@ -16,11 +16,12 @@ they check run one strip pass per term of one factor, seeded with the
 whole other class; these share neither the strip pass nor the seeding
 and merging across terms.
 
-`strip_pass_reference` is the strip pass as it ran before one-box
-letters and first-letter strips were placed inside the pass loop: every
-letter's strips come from `_reference_strips`, the new shapes are built
-as lists, and every layer, the last one too, is keyed by (shape, last
-strip).  It takes the arguments of `schubcalc.schur._strip_pass` and
+`strip_pass_reference` is the strip pass as it ran before every letter
+was placed inside the pass loop: every letter's strips come from
+`_reference_strips`, the new shapes are built as lists, and every layer,
+the last one too, is keyed by (shape, last strip).  `_reference_strips`
+is the former `schubcalc.schur._strips`, the separate strip enumeration
+that the pass's walk over compositions has replaced.  It takes the arguments of `schubcalc.schur._strip_pass` and
 must give the same dictionary, zero entries included.
 
 `partitions_of` lists the partitions of one size, for the tests to sweep.

@@ -363,6 +363,20 @@ def test_lr_command_long_rows(capsys):
         code, out, err = run_cli(capsys, ["lr", *args])
         assert code == 0, err
         assert json.loads(out)["result"] == 1
+    # a row of 10^9 boxes over short columns: conjugating would build
+    # partitions of 10^9 parts, so the call runs in a child process whose
+    # address space is capped at 1 GiB
+    script = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        "from schubcalc.cli import main\n"
+        "sys.exit(main(['lr', '[1000000000, 1]', '[1, 1]', '[1000000000, 1, 1, 1]']))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["result"] == 1
 
 
 def test_solve_long_rows(capsys, tmp_path):

@@ -274,7 +274,7 @@ def _code_names(fn):
     return names
 
 
-_LR_KERNELS = {"_strips", "_strip_pass", "_lr_product", "schur_multiply", "lr_coefficient"}
+_LR_KERNELS = {"_strip_pass", "_lr_product", "schur_multiply", "lr_coefficient"}
 _CHECKED_KERNELS = {
     "monk_multiply": {"_times_variable", "_transition", "_schubert_times", "flag_multiply"},
     "oracle_schur_polynomial": _LR_KERNELS,
