@@ -21,6 +21,7 @@ name of a coset, are read and written in `serialize` alone.
 """
 
 from dataclasses import dataclass
+from itertools import groupby
 
 from .combination import SparseCombination
 from .indexing import (
@@ -74,7 +75,14 @@ class FlagDescriptor:
         return tuple(out)
 
     def __str__(self):
-        return f"Fl{self.dims}(C^{self.n})"
+        return f"Fl{_dims_text(self.dims)}(C^{self.n})"
+
+
+def _dims_text(dims):
+    """dims with each run of m > 1 equal blocks d written d^m, so that it
+    does not grow with n: (1, 1, 1, 2) -> "(1^3, 2)"."""
+    runs = ((d, sum(1 for _ in run)) for d, run in groupby(dims))
+    return "(" + ", ".join(f"{d}^{m}" if m > 1 else f"{d}" for d, m in runs) + ")"
 
 
 class FlagClass(SparseCombination):
@@ -90,12 +98,12 @@ class FlagClass(SparseCombination):
 
     @staticmethod
     def _key(space, w):
-        w = perm_pad(normalize_perm(w), space.n)
-        if not is_minimal_rep(w, space.dims):
+        w = normalize_perm(w)
+        if len(w) <= space.n and not is_minimal_rep(w, space.dims):
             raise ValueError(
                 f"{w} is not a minimal coset representative for {space.dims}"
             )
-        return w
+        return perm_pad(w, space.n)
 
     @staticmethod
     def _unit_key(space):
@@ -146,9 +154,9 @@ def _transition(w):
     With r the last descent of w, s the last position after r holding a
     value below w(r), and v = w t_rs (one shorter than w),
     S_w = x_r S_v + the sum of S_{v t_ir} over the i < r where v t_ir is as
-    long as w: v(i) < v(r) and no position between them holds a value in
-    between, the scan `_times_variable` makes towards position 1. Returns r,
-    v and those v t_ir, each stripped of trailing fixed points.
+    long as w: the terms Monk's rule for x_r S_v subtracts, all that
+    `_times_variable` returns with n = r (each term it adds leaves S_r).
+    Returns r, v and those v t_ir, each stripped of trailing fixed points.
     """
     p = len(w) - 2
     while w[p] < w[p + 1]:
@@ -157,18 +165,8 @@ def _transition(w):
     q = p + 1
     while q + 1 < len(w) and w[q + 1] < wr:
         q += 1
-    vr = w[q]
-    v = w[:p] + (vr,) + w[p + 1:q] + (wr,) + w[q + 1:]
-    tail = v[p + 1:]
-    moves = []
-    lo = 0
-    for i in range(p - 1, -1, -1):
-        x = v[i]
-        if lo < x < vr:
-            lo = x
-            moves.append(perm_strip(v[:i] + (vr,) + v[i + 1:p] + (x,) + tail))
-            if x == vr - 1:
-                break
+    v = w[:p] + (w[q],) + w[p + 1:q] + (wr,) + w[q + 1:]
+    moves = [perm_strip(u) for u in _times_variable(p + 1, {v: 1}, p + 1)]
     return p + 1, perm_strip(v), moves
 
 

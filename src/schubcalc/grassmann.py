@@ -74,8 +74,7 @@ def gr_multiply(a, b):
     """Product in H*(Gr_k(C^n)): the LR product capped at the k x l box
     (schur._lr_product), so nothing that leaves the box is ever built."""
     a._check_space(b)
-    space = a.space
-    return GrassmannClass._make(space, _lr_product(a, b, space.box_partition))
+    return GrassmannClass._make(a.space, _lr_product(a, b))
 
 
 def gr_integrate(a):

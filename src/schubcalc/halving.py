@@ -39,7 +39,7 @@ from .errors import (
     NotADouble,
     NotADoubleIndex,
 )
-from .flag import FlagClass, FlagDescriptor, flag_integrate
+from .flag import FlagClass, FlagDescriptor, _dims_text, flag_integrate
 from .grassmann import (
     GrassmannClass,
     GrassmannianDescriptor,
@@ -131,7 +131,7 @@ class HalvingSpaceDescriptor:
         field = "H" if self.kind == QUATERNIONIC else "R"
         if self.grassmannian_fixed_point:
             return f"Gr({ix.k}, {field}^{ix.n})"
-        return f"Fl{ix.dims}({field}^{ix.n})"
+        return f"Fl{_dims_text(ix.dims)}({field}^{ix.n})"
 
 
 def _index_key(space, index):

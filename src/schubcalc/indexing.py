@@ -197,10 +197,12 @@ def perm_halve(w):
 
 
 def is_minimal_rep(w, dims):
-    """True when w is increasing inside every block of dims."""
-    pos = 0
+    """True when w is increasing inside every block of dims, read up to
+    len(w): the fixed points that would pad w always are."""
+    pos, last = 0, len(w) - 1
     for d in dims:
-        for i in range(pos, pos + d - 1):
+        end = pos + d - 1
+        for i in range(pos, end if end < last else last):
             if w[i] > w[i + 1]:
                 return False
         pos += d

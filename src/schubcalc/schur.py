@@ -13,14 +13,14 @@ The pass starts from a layer of seed shapes with coefficients, so one
 pass can multiply a whole class by s_mu.  Both Schur-basis products go
 through _lr_product: one pass per term of the cheaper factor, seeded with
 every term of the other, so partial tableaux from different seeds merge
-as well.  Grassmannian multiplication (grassmann.gr_multiply) caps every
-row at the box; schur_multiply caps the rows and their number at the
-sums of the factors' widest rows and longest lengths, which cuts nothing
-off.  A single coefficient (lr_coefficient) caps row r at nu_r, so only
-shapes inside nu are visited, and drops a shape whose row i is still
-short of nu_i once letter i is placed; by c(lam, mu; nu) = c(mu, lam; nu)
-= c(lam', mu'; nu') the letters come from the factor with the fewest
-rows.
+as well.  _lr_product reads its caps from its factors: the rows and
+their number are capped at the sums of the factors' widest rows and
+longest lengths, which cuts nothing off, and on a Grassmannian
+(grassmann.gr_multiply) both are clipped to the box.  A single
+coefficient (lr_coefficient) caps row r at nu_r, so only shapes inside
+nu are visited, and drops a shape whose row i is still short of nu_i
+once letter i is placed; by c(lam, mu; nu) = c(mu, lam; nu) =
+c(lam', mu'; nu') the letters come from the factor with the fewest rows.
 
 Every letter is placed inside the pass loop itself, which builds every
 new shape by tuple slicing, in one of two ways.  A one-box letter (every
@@ -179,16 +179,23 @@ def _strip_pass(seeds, mu, caps, fill):
     return layer
 
 
-def _lr_product(a, b, caps):
-    """{nu: coefficient} of the product of two Schur-basis classes, keeping
-    only the nu with at most caps[r] boxes in row r.
+def _lr_product(a, b):
+    """{nu: coefficient} of the product of two Schur-basis classes.
 
-    One strip pass per term mu of the cheaper factor (fewer terms, then
-    lower degree), seeded with every term of the other factor scaled by
-    mu's coefficient, so partial tableaux from different terms merge.
-    Shapes never shrink, so the caps drop exactly the terms that leave
-    them.
+    No nu in s_lam * s_mu is wider than lam_1 + mu_1 or longer than
+    len(lam) + len(mu), so the caps come from the factors, clipped to the
+    box of a Grassmannian space.  One strip pass per term mu of the cheaper
+    factor (fewer terms, then lower degree), seeded with every term of the
+    other scaled by mu's coefficient, so partial tableaux merge across terms.
     """
+    ta, tb = a.terms, b.terms
+    if not ta or not tb:
+        return {}
+    width = sum(max(ta)[:1]) + sum(max(tb)[:1])  # the largest key is widest
+    height = max(map(len, ta)) + max(map(len, tb))
+    if a.space is not None:  # a SchurExpansion has no box
+        width, height = min(width, a.space.l), min(height, a.space.k)
+    caps = (width,) * height
     if a._cheaper_than(b):
         a, b = b, a
     out = {}
@@ -234,15 +241,8 @@ class SchurExpansion(SparseCombination):
 
 
 def schur_multiply(a, b):
-    """Product of two Schur expansions, expanded in the Schur basis.
-
-    No nu in s_lam * s_mu is wider than lam_1 + mu_1 or longer than
-    len(lam) + len(mu), so caps that wide and that tall cut nothing off.
-    """
-    width = max((lam[0] for lam in a.terms if lam), default=0)
-    width += max((mu[0] for mu in b.terms if mu), default=0)
-    rows = max(map(len, a.terms), default=0) + max(map(len, b.terms), default=0)
-    return SchurExpansion._make(None, _lr_product(a, b, (width,) * rows))
+    """Product of two Schur expansions, expanded in the Schur basis."""
+    return SchurExpansion._make(None, _lr_product(a, b))
 
 
 # ---------------------------------------------------------------------------

@@ -364,19 +364,57 @@ def test_lr_command_long_rows(capsys):
         assert code == 0, err
         assert json.loads(out)["result"] == 1
     # a row of 10^9 boxes over short columns: conjugating would build
-    # partitions of 10^9 parts, so the call runs in a child process whose
-    # address space is capped at 1 GiB
+    # partitions of 10^9 parts
+    proc = run_capped(["lr", "[1000000000, 1]", "[1, 1]", "[1000000000, 1, 1, 1]"])
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["result"] == 1
+
+
+def run_capped(argv):
+    """`main(argv)` in a child process whose address space is capped at
+    1 GiB, so that an allocation in proportion to a number in the input
+    fails there instead of filling the host."""
     script = (
         "import resource, sys\n"
         "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
         "from schubcalc.cli import main\n"
-        "sys.exit(main(['lr', '[1000000000, 1]', '[1, 1]', '[1000000000, 1, 1, 1]']))\n"
+        f"sys.exit(main({argv!r}))\n"
     )
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True, timeout=60
     )
+
+
+def test_mult_on_a_huge_grassmannian():
+    # the caps of the LR product come from the factors, not from the
+    # 10^9 x 10^9 box
+    space = {"type": "complex_grassmannian", "k": 10**9, "n": 2 * 10**9}
+    proc = run_capped(
+        ["mult", "--space", json.dumps(space), "[1]", "[1]", "--format", "text"]
+    )
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout)["result"] == 1
+    assert "result: s[1, 1] + s[2]" in proc.stdout.splitlines()
+
+
+def test_huge_flag_key_is_checked_before_padding(tmp_path):
+    # (2, 1) is no minimal representative for one block of 10^8: the key
+    # must be refused before it is padded to 10^8 letters
+    space = {"type": "complex_flag", "dims": [10**8]}
+    path = write_problem(tmp_path, problem(space, [{"index": [2, 1], "count": 1}]))
+    proc = run_capped(["solve", "--input", path])
+    assert proc.returncode == 2, proc.stderr
+    assert "not a minimal coset representative" in proc.stderr
+
+
+def test_long_dimension_vector_is_written_in_runs(tmp_path):
+    n = 3000
+    longest = {"index": list(range(n, 0, -1))}
+    payload = problem({"type": "complex_flag", "dims": [1] * n}, [longest] * 20)
+    proc = run_capped(["solve", "--input", write_problem(tmp_path, payload)])
+    assert proc.returncode == 3, proc.stderr
+    line = proc.stderr.splitlines()[0]
+    assert len(line.encode()) < 200, line[:200]
+    assert "Fl(1^3000)(C^3000)" in line
 
 
 def test_solve_long_rows(capsys, tmp_path):

@@ -17,6 +17,7 @@ from schubcalc.flag import (
     FlagClass,
     FlagDescriptor,
     _times_variable,
+    _transition,
     flag_integrate,
     flag_multiply,
 )
@@ -90,6 +91,20 @@ def test_variable_times_schubert_class_in_s5():
                 if len(v) <= n:
                     want[perm_pad(v, n)] = c
             assert _times_variable(i, {w: 1}, n) == want, (i, w)
+
+
+def test_transition_step_against_schubert_polynomials():
+    """S_w = x_r S_v + the sum of S_u over the moves u, for every w != id in
+    S_2..S_6, with every Schubert polynomial built by divided differences."""
+    for n in range(2, 7):
+        for w in itertools.permutations(range(1, n + 1)):
+            if w[-1] == n:
+                continue  # the identity, or a w of a smaller S_n
+            r, v, moves = _transition(w)
+            got = SparsePolynomial.variable(r) * schubert_polynomial(v)
+            for u in moves:
+                got = got + schubert_polynomial(u)
+            assert got == schubert_polynomial(w), (w, r, v, moves)
 
 
 def test_unit_returns_the_other_factor():
