@@ -17,8 +17,14 @@ The public constructor validates every key. Results of arithmetic and of
 the product kernels are built with `_make`, which trusts its keys because
 they come out of canonical keys already.
 
+A class type on a space with a point class also says, by
+`_dual_key(space, key)`, which basis class pairs to 1 with a given one
+(Poincare duality: the top coefficient of s_u s_v is 1 when v is the dual
+key of u and 0 otherwise). `intersection_number` reads a count from it.
+
 `decimal_text` writes a coefficient exactly, however many digits it has,
-for output and for error messages alike.
+for output and for error messages alike. `Record` is the immutable,
+field-compared base of the descriptors and problem records.
 """
 
 from fractions import Fraction
@@ -45,6 +51,44 @@ def decimal_text(x):
         pieces.append(f"{r:0{_PIECE_DIGITS}d}")
     pieces.append(str(x))
     return "".join(reversed(pieces))
+
+
+class Record:
+    """An immutable record of the fields named in `_fields`, compared,
+    hashed and written by them in order, as a frozen dataclass is."""
+
+    __slots__ = ()
+    _fields = ()
+
+    def __init__(self, *values):
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self):
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __eq__(self, other):
+        if other is self:
+            return True
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
 
 
 class SparseCombination:
@@ -156,3 +200,48 @@ class SparseCombination:
             bits.append(name if c == 1 else f"{decimal_text(c)}*{name}")
         text = " + ".join(bits) or "0"
         return text if self.space is None else f"<{text} on {self.space}>"
+
+
+def multiply_copies(factors, product=None):
+    """`product` times c copies of each class a of the (a, c) in `factors`,
+    one copy at a time and in order; a `product` of None starts from the
+    first copy, and stays None when there is none."""
+    for a, c in factors:
+        for _ in range(c):
+            product = a if product is None else product * a
+    return product
+
+
+def intersection_number(factors):
+    """The point-class coefficient of the product of a^c over the
+    (a, degree, c) in `factors`: homogeneous classes of positive degree,
+    at least one, whose degrees fill the dimension.
+
+    By Poincare duality the top coefficient of X Y is the sum of X_u Y_u*,
+    u* the dual key of u. So with X the product of c // 2 copies of each
+    a, and Y = X times one more copy of each a of odd c, the count is
+    <X, Y>, and the copies in X are multiplied once instead of twice. The
+    split is taken when X carries at least a third of the dimension (its
+    degree is at least that of the odd copies); otherwise every copy is
+    multiplied and the coefficient of the point class, the dual of the
+    unit, is read. Copies are multiplied in the order of `factors`.
+    """
+    half = odd = 0
+    for _, degree, c in factors:
+        half += degree * (c // 2)
+        odd += degree * (c % 2)
+    if half < odd:
+        x = multiply_copies([(a, c) for a, _, c in factors])
+        return x.terms.get(x._dual_key(x.space, x._unit_key(x.space)), 0)
+    x = multiply_copies([(a, c // 2) for a, _, c in factors])
+    return _pair(x, multiply_copies([(a, c % 2) for a, _, c in factors], x))
+
+
+def _pair(x, y):
+    """The sum of x_u y_u* over the terms of the class with fewer terms:
+    the point-class coefficient of x y when their degrees fill the
+    dimension (u** = u, so either class may be read)."""
+    if len(y.terms) < len(x.terms):
+        x, y = y, x
+    dual, space, get = x._dual_key, x.space, y.terms.get
+    return sum(c * get(dual(space, u), 0) for u, c in x.terms.items())

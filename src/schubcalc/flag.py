@@ -10,7 +10,9 @@ every x_r is applied to the other factor's whole class by Monk's rule
 (Monk 1959): one Monk step per node of the transition tree, and no
 polynomial is built. Labels outside S_n span the ideal of the coinvariant
 ring (Macdonald, Notes on Schubert Polynomials, 1991), so the terms that
-leave S_n are dropped as they appear.
+leave S_n are dropped as they appear. The Poincare dual of S_u is
+S_{w0 u w0^P} (w0^P the longest element of the block subgroup), which a
+count pairs through (combination.intersection_number).
 
 Its oracles, Schubert polynomials with the expansion back into the
 Schubert basis and Monk's rule one transposition at a time, live in
@@ -20,10 +22,9 @@ Classes are keyed by permutations only; ordered set partitions, the other
 name of a coset, are read and written in `serialize` alone.
 """
 
-from dataclasses import dataclass
 from itertools import groupby
 
-from .combination import SparseCombination
+from .combination import Record, SparseCombination
 from .indexing import (
     identity_perm,
     is_minimal_rep,
@@ -34,17 +35,16 @@ from .indexing import (
 )
 
 
-@dataclass(frozen=True)
-class FlagDescriptor:
+class FlagDescriptor(Record):
     """Fl_D(C^n): flags with subquotient dimensions D = (d_1, ..., d_r)."""
 
-    dims: tuple
+    __slots__ = _fields = ("dims",)
 
-    def __post_init__(self):
-        dims = tuple(int(d) for d in self.dims)
+    def __init__(self, dims):
+        dims = tuple(int(d) for d in dims)
         if not dims or any(d < 1 for d in dims):
             raise ValueError(f"flag dimensions must be positive, got {dims}")
-        object.__setattr__(self, "dims", dims)
+        super().__init__(dims)
 
     @property
     def n(self):
@@ -108,6 +108,16 @@ class FlagClass(SparseCombination):
     @staticmethod
     def _unit_key(space):
         return identity_perm(space.n)
+
+    @staticmethod
+    def _dual_key(space, w):
+        # w0 w w0^P, w0^P the longest element of the block subgroup: the
+        # values n + 1 - w(i), reversed inside each block
+        top, out, end = space.n + 1, [], 0
+        for d in space.dims:
+            out.extend(top - v for v in reversed(w[end:end + d]))
+            end += d
+        return tuple(out)
 
     def _product(self, other):
         return flag_multiply(self, other)

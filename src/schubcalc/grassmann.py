@@ -4,12 +4,12 @@ Classes on Gr_k(C^n) are integer combinations of Schubert classes indexed
 by partitions inside the k x (n-k) box. A product runs the LR strip pass
 once per term of one factor, seeded with the whole other class and capped
 at the box, so nothing that leaves the box is ever built; integration
-reads off the coefficient of the full-box (point) class.
+reads off the coefficient of the full-box (point) class. A count pairs
+half of its product with the rest through the rotated box complement
+(combination.intersection_number).
 """
 
-from dataclasses import dataclass
-
-from .combination import SparseCombination
+from .combination import Record, SparseCombination, intersection_number
 from .errors import (
     BoxOverflow,
     DegreeOutOfRange,
@@ -20,16 +20,15 @@ from .indexing import fits_in_box, normalize_partition, partition_size
 from .schur import _lr_product, ring_determinant
 
 
-@dataclass(frozen=True)
-class GrassmannianDescriptor:
+class GrassmannianDescriptor(Record):
     """Gr_k(C^n): k-dimensional subspaces of C^n."""
 
-    k: int
-    n: int
+    __slots__ = _fields = ("k", "n")
 
-    def __post_init__(self):
-        if not 0 < self.k < self.n:
-            raise ValueError(f"need 0 < k < n, got k={self.k}, n={self.n}")
+    def __init__(self, k, n):
+        if not 0 < k < n:
+            raise ValueError(f"need 0 < k < n, got k={k}, n={n}")
+        super().__init__(k, n)
 
     @property
     def l(self):
@@ -66,6 +65,13 @@ class GrassmannClass(SparseCombination):
     def _unit_key(space):
         return ()
 
+    @staticmethod
+    def _dual_key(space, lam):
+        # the rotated box complement: the rows of lam that fill the box
+        # would leave its trailing zeros
+        l = space.l
+        return (l,) * (space.k - len(lam)) + tuple(l - p for p in reversed(lam) if p < l)
+
     def _product(self, other):
         return gr_multiply(self, other)
 
@@ -88,10 +94,7 @@ def gr_integrate(a):
 
 def poincare_dual(lam, space):
     """Rotated box complement; the unique partner pairing to 1."""
-    lam = GrassmannClass._key(space, lam)
-    k, l = space.k, space.l
-    padded = lam + (0,) * (k - len(lam))
-    return normalize_partition(tuple(l - padded[k - 1 - i] for i in range(k)))
+    return GrassmannClass._dual_key(space, GrassmannClass._key(space, lam))
 
 
 def chern_class(bundle, i, space):
@@ -121,20 +124,20 @@ def giambelli(lam, space):
     """Determinant of single-row classes, evaluated inside the ring.
 
     Entry (i, j) is the row class of length lam_i - i + j, with length 0
-    meaning the unit and lengths outside [0, l] meaning zero. Expanding the
+    meaning the unit and lengths outside [0, l] meaning zero. Only the row
+    lengths in that band are built, never all l + 1. Expanding the
     determinant by ring arithmetic must land back on the basis class.
     """
     lam = GrassmannClass._key(space, lam)
     d, l = len(lam), space.l
-    rows = [chern_class("quot", p, space) for p in range(l + 1)]
     mat = []
     for i, part in enumerate(lam):
         # only 0 <= part - i + j <= l is nonzero: a band of at most l + 1
         row = [0] * d
         for j in range(max(0, i - part), min(d, l - part + i + 1)):
-            row[j] = rows[part - i + j]
+            row[j] = chern_class("quot", part - i + j, space)
         mat.append(row)
-    return ring_determinant(mat, rows[0])
+    return ring_determinant(mat, GrassmannClass.unit(space))
 
 
 def thom_porteous(e, f, rho, c):
@@ -190,10 +193,11 @@ def degeneracy_count(space, e, f, rho, m):
     """Count rank-at-most-rho loci conditions imposed m times.
 
     Integrates the m-th power of the Thom-Porteous class of the tautological
-    map S -> Q on the given Grassmannian. When the rank bound is vacuous
-    (rho reaches e or f) the locus is the whole space and the integral of
-    the unit applies; otherwise m times the locus codimension must exhaust
-    the dimension exactly.
+    map S -> Q on the given Grassmannian, by pairing half of the m copies
+    with the rest (combination.intersection_number). When the rank bound
+    is vacuous (rho reaches e or f) the locus is the whole space and the
+    integral of the unit applies; otherwise m times the locus codimension
+    must exhaust the dimension exactly.
     """
     return degeneracy_count_and_locus(space, e, f, rho, m)[0]
 
@@ -216,4 +220,4 @@ def degeneracy_count_and_locus(space, e, f, rho, m):
         )
     series = tautological_chern_difference(space, e + f - 2 * rho - 1)
     locus = thom_porteous(e, f, rho, series)
-    return gr_integrate(locus ** m), locus
+    return intersection_number([(locus, codim, m)]), locus

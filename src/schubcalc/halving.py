@@ -27,25 +27,38 @@ intersection number of the halved problem as the signed real count. Its
 absolute value bounds the number of real solutions from below, for every
 generic configuration. Because the structure constants involved are
 Littlewood-Richardson numbers, the signed count is already nonnegative.
+
+Every count, complex, quaternionic or a real bound after halving, is such
+an intersection number on a complex space, and `_multiply_conditions`
+reads it by Poincare duality: the product X of half of each condition's
+copies is paired with X times the copies left over, <X, X L>, so the
+copies in X are multiplied once (combination.intersection_number). The
+pairing needs each complex class type's dual key: the rotated box
+complement on a Grassmannian, w0 u w0^P on a flag. A class is the product
+of every copy in input order.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .combination import SparseCombination, decimal_text
+from .combination import (
+    Record,
+    SparseCombination,
+    decimal_text,
+    intersection_number,
+    multiply_copies,
+)
 from .errors import (
     DimensionMismatch,
     NotADouble,
     NotADoubleIndex,
 )
-from .flag import FlagClass, FlagDescriptor, _dims_text, flag_integrate
+from .flag import FlagClass, FlagDescriptor, _dims_text
 from .grassmann import (
     GrassmannClass,
     GrassmannianDescriptor,
     chern_class,
     degeneracy_count,
-    gr_integrate,
 )
 from .indexing import (
     fits_in_box,
@@ -65,20 +78,22 @@ OCTONIONIC = "octonionic_flag"
 _KINDS = (REAL_EVEN, QUATERNIONIC, OCTONIONIC)
 
 
-@dataclass(frozen=True)
-class HalvingSpaceDescriptor:
-    """A halving space, recorded by its kind and complex fixed-point space."""
+class HalvingSpaceDescriptor(Record):
+    """A halving space, recorded by its kind and complex fixed-point space.
 
-    kind: str
-    fixed_point: object
+    It keeps a __dict__, where `index_space` is cached.
+    """
 
-    def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown halving kind {self.kind!r}")
-        if not isinstance(self.fixed_point, (FlagDescriptor, GrassmannianDescriptor)):
+    _fields = ("kind", "fixed_point")
+
+    def __init__(self, kind, fixed_point):
+        if kind not in _KINDS:
+            raise ValueError(f"unknown halving kind {kind!r}")
+        if not isinstance(fixed_point, (FlagDescriptor, GrassmannianDescriptor)):
             raise ValueError("fixed point must be a flag or Grassmannian descriptor")
-        if self.kind == OCTONIONIC and self.fixed_point != FlagDescriptor((1, 1, 1)):
+        if kind == OCTONIONIC and fixed_point != FlagDescriptor((1, 1, 1)):
             raise ValueError("the octonionic flag only exists on three letters")
+        super().__init__(kind, fixed_point)
 
     @classmethod
     def real_even_grassmannian(cls, k, n):
@@ -170,10 +185,10 @@ def _halve(space, index):
 
 
 def _complex_ring(fp):
-    """Class type and integral of a complex Grassmannian or flag manifold."""
+    """The class type of a complex Grassmannian or flag manifold."""
     if isinstance(fp, GrassmannianDescriptor):
-        return GrassmannClass, gr_integrate
-    return FlagClass, flag_integrate
+        return GrassmannClass
+    return FlagClass
 
 
 class HalvingClass(SparseCombination):
@@ -190,12 +205,12 @@ class HalvingClass(SparseCombination):
     _key = staticmethod(_index_key)
 
     def _rank(self, index):
-        return _complex_ring(self.space.index_space)[0]._rank(index)
+        return _complex_ring(self.space.index_space)._rank(index)
 
     @staticmethod
     def _unit_key(space):
         ix = space.index_space
-        return _complex_ring(ix)[0]._unit_key(ix)
+        return _complex_ring(ix)._unit_key(ix)
 
     def _product(self, other):
         return real_double_multiply(self, other)
@@ -214,7 +229,7 @@ def kappa(a):
         target = HalvingSpaceDescriptor.quaternionic_flag((1, 1, 1))
         return HalvingClass._make(target, a.terms)
     fp = space.fixed_point
-    ring = _complex_ring(fp)[0]
+    ring = _complex_ring(fp)
     terms = {}
     for index, c in a.terms.items():
         key = _halve(space, index)
@@ -258,7 +273,7 @@ def real_double_multiply(a, b):
     if space.kind != REAL_EVEN:
         raise ValueError(f"doubled-index product needs a real even space, not {space}")
     fp = space.fixed_point
-    ring = _complex_ring(fp)[0]
+    ring = _complex_ring(fp)
     left, right = (
         ring._make(fp, {_halve(space, k): c for k, c in x.terms.items()}) for x in (a, b)
     )
@@ -267,21 +282,19 @@ def real_double_multiply(a, b):
     return HalvingClass._make(space, {double(k): c for k, c in product.terms.items()})
 
 
-@dataclass(frozen=True)
-class SchubertProblem:
+class SchubertProblem(Record):
     """A list of Schubert conditions with multiplicities on a halving space."""
 
-    space: HalvingSpaceDescriptor
-    conditions: tuple
+    __slots__ = _fields = ("space", "conditions")
 
-    def __post_init__(self):
+    def __init__(self, space, conditions):
         fixed = []
-        for index, count in self.conditions:
+        for index, count in conditions:
             count = int(count)
             if count < 1:
                 raise ValueError(f"condition count must be positive, got {count}")
-            fixed.append((_index_key(self.space, index), count))
-        object.__setattr__(self, "conditions", tuple(fixed))
+            fixed.append((_index_key(space, index), count))
+        super().__init__(space, tuple(fixed))
 
 
 def _multiply_conditions(space, conditions, count_mode, what="conditions"):
@@ -293,16 +306,23 @@ def _multiply_conditions(space, conditions, count_mode, what="conditions"):
     equal the dimension and the point-class coefficient is returned; in
     class mode the product class is returned, and a degree above the
     dimension gives the zero class at once. Degree-0 conditions are the unit
-    and are skipped, and the product starts from the first condition, so
-    fewer than `dim` products are taken.
+    and are skipped.
+
+    A class is the product of every copy of every condition, in input
+    order, starting from the first copy. A count is the pairing <X, X L>
+    of combination.intersection_number: X holds half of each condition's
+    copies (count // 2 of them) and L one more copy of each condition of
+    odd count, so X is multiplied once and used twice. It splits only when
+    X carries at least a third of the dimension, and otherwise multiplies
+    every copy as a class does and reads the point-class coefficient.
     """
     fp = space.fixed_point if isinstance(space, HalvingSpaceDescriptor) else space
-    ring, integrate = _complex_ring(fp)
+    ring = _complex_ring(fp)
     factors, total = [], 0
     for key, count in conditions:
         degree = ring._rank(key)
         if degree:
-            factors.append((ring._make(fp, {key: 1}), count))
+            factors.append((ring._make(fp, {key: 1}), degree, count))
             total += count * degree
     dim = fp.complex_dimension
     if count_mode and total != dim:
@@ -310,15 +330,13 @@ def _multiply_conditions(space, conditions, count_mode, what="conditions"):
         raise DimensionMismatch(
             f"{what} fill degree {total}, but {space} has {name} {dim}"
         )
+    if count_mode:
+        # with no factor the space is a point, its own point class
+        return intersection_number(factors) if factors else 1
     if total > dim:
         return ring.zero(fp)
-    product = None
-    for base, count in factors:
-        for _ in range(count):
-            product = base if product is None else product * base
-    if product is None:
-        product = ring.unit(fp)
-    return integrate(product) if count_mode else product
+    product = multiply_copies([(a, c) for a, _, c in factors])
+    return ring.unit(fp) if product is None else product
 
 
 def _halved(problem):

@@ -15,10 +15,9 @@ bits and become decimal strings beyond that.
 """
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .combination import decimal_text
+from .combination import Record, decimal_text
 from .errors import BoxOverflow
 from .flag import FlagClass, FlagDescriptor
 from .grassmann import GrassmannClass, GrassmannianDescriptor
@@ -145,7 +144,7 @@ def partition_from_json(raw):
 def _class_type(space):
     if isinstance(space, HalvingSpaceDescriptor):
         return HalvingClass
-    return _complex_ring(space)[0]
+    return _complex_ring(space)
 
 
 def index_from_json(space, raw):
@@ -253,15 +252,13 @@ def class_from_json(space, raw):
     return cls._make(space, terms)
 
 
-@dataclass(frozen=True)
-class ParsedProblem:
+class ParsedProblem(Record):
     """A validated problem file, ready for dispatch."""
 
-    raw: object
-    space: object
-    mode: str
-    conditions: tuple
-    degeneracy: object
+    __slots__ = _fields = ("raw", "space", "mode", "conditions", "degeneracy")
+
+    def __init__(self, raw, space, mode, conditions, degeneracy):
+        super().__init__(raw, space, mode, conditions, degeneracy)
 
 
 # The modes each family allows; the first is its default.

@@ -396,6 +396,26 @@ def test_mult_on_a_huge_grassmannian():
     assert "result: s[1, 1] + s[2]" in proc.stdout.splitlines()
 
 
+def test_giambelli_on_a_huge_grassmannian():
+    # only the row lengths in the determinant's band are built, not all
+    # l + 1 = 10^9 + 1 row classes
+    space = {"type": "complex_grassmannian", "k": 10**9, "n": 2 * 10**9}
+    proc = run_capped(["giambelli", "--space", json.dumps(space), "[1]", "--format", "text"])
+    assert proc.returncode == 0, proc.stderr
+    assert "result: s[1]" in proc.stdout.splitlines()
+
+
+def test_importing_the_cli_loads_no_dataclasses():
+    script = (
+        "import sys\n"
+        "import schubcalc.cli\n"
+        "loaded = sorted({'dataclasses', 'inspect'} & set(sys.modules))\n"
+        "assert not loaded, loaded\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_huge_flag_key_is_checked_before_padding(tmp_path):
     # (2, 1) is no minimal representative for one block of 10^8: the key
     # must be refused before it is padded to 10^8 letters
