@@ -8,14 +8,15 @@ how two classes multiply; everything linear lives here once:
 
 - `_key(space, key)` validates one key and returns its canonical form;
 - `_rank(key)` is the degree that orders terms for output;
-- `_unit_key(space)` is the key of the unit class;
 - `_scalars` are the coefficient types `*` scales by, `_zero` their zero;
 - `_symbol` names a basis class in `repr`;
 - `_product(other)` multiplies through the ring's module-level kernel.
 
-The public constructor validates every key. Results of arithmetic and of
-the product kernels are built with `_make`, which trusts its keys because
-they come out of canonical keys already.
+Every ring keys its unit class `()`: the empty partition, the identity
+permutation stripped of its fixed points, the constant monomial. The public
+constructor validates every key. Results of arithmetic and of the product
+kernels are built with `_make`, which trusts its keys because they come out
+of canonical keys already.
 
 A class type on a space with a point class also says, by
 `_dual_key(space, key)`, which basis class pairs to 1 with a given one
@@ -124,7 +125,7 @@ class SparseCombination:
 
     @classmethod
     def unit(cls, space=None):
-        return cls._make(space, {cls._unit_key(space): cls._zero + 1})
+        return cls._make(space, {(): cls._zero + 1})
 
     @classmethod
     def basis(cls, space, key):
@@ -232,7 +233,7 @@ def intersection_number(factors):
         odd += degree * (c % 2)
     if half < odd:
         x = multiply_copies([(a, c) for a, _, c in factors])
-        return x.terms.get(x._dual_key(x.space, x._unit_key(x.space)), 0)
+        return x.terms.get(x._dual_key(x.space, ()), 0)
     x = multiply_copies([(a, c // 2) for a, _, c in factors])
     return _pair(x, multiply_copies([(a, c % 2) for a, _, c in factors], x))
 

@@ -18,15 +18,17 @@ Its oracles, Schubert polynomials with the expansion back into the
 Schubert basis and Monk's rule one transposition at a time, live in
 `selftest`.
 
-Classes are keyed by permutations only; ordered set partitions, the other
-name of a coset, are read and written in `serialize` alone.
+Classes are keyed by permutations only, stored without trailing fixed
+points: Schubert classes are stable under S_n in S_(n+1), so a key reads
+the same in every S_n it fits, and it is padded to n only where `serialize`
+writes it. Ordered set partitions, the other name of a coset, are read and
+written in `serialize` alone.
 """
 
 from itertools import groupby
 
 from .combination import Record, SparseCombination
 from .indexing import (
-    identity_perm,
     is_minimal_rep,
     normalize_perm,
     perm_length,
@@ -65,15 +67,6 @@ class FlagDescriptor(Record):
             out.append(acc)
         return tuple(out)
 
-    def top_representative(self):
-        """The longest minimal coset representative: descending blocks."""
-        out = []
-        start = self.n
-        for d in self.dims:
-            out.extend(range(start - d + 1, start + 1))
-            start -= d
-        return tuple(out)
-
     def __str__(self):
         return f"Fl{_dims_text(self.dims)}(C^{self.n})"
 
@@ -88,8 +81,9 @@ def _dims_text(dims):
 class FlagClass(SparseCombination):
     """Sparse integer combination of Schubert classes on a partial flag manifold.
 
-    Keys are minimal coset representative permutations, stored padded to n;
-    `basis(space, w)` builds one from any shorter minimal representative.
+    Keys are minimal coset representative permutations, stored without
+    trailing fixed points (the unit is `()`), the stable form the kernel
+    reads; `basis(space, w)` takes one of any length up to n.
     """
 
     __slots__ = ()
@@ -99,24 +93,25 @@ class FlagClass(SparseCombination):
     @staticmethod
     def _key(space, w):
         w = normalize_perm(w)
-        if len(w) <= space.n and not is_minimal_rep(w, space.dims):
+        if len(w) > space.n:
+            raise ValueError(f"cannot pad {w!r} down to length {space.n}")
+        if not is_minimal_rep(w, space.dims):
             raise ValueError(
                 f"{w} is not a minimal coset representative for {space.dims}"
             )
-        return perm_pad(w, space.n)
-
-    @staticmethod
-    def _unit_key(space):
-        return identity_perm(space.n)
+        return perm_strip(w)
 
     @staticmethod
     def _dual_key(space, w):
         # w0 w w0^P, w0^P the longest element of the block subgroup: the
-        # values n + 1 - w(i), reversed inside each block
+        # values n + 1 - w(i) of w padded to n, reversed inside each block
         top, out, end = space.n + 1, [], 0
+        w = perm_pad(w, space.n)
         for d in space.dims:
             out.extend(top - v for v in reversed(w[end:end + d]))
             end += d
+        while out and out[-1] == len(out):
+            out.pop()
         return tuple(out)
 
     def _product(self, other):
@@ -131,14 +126,22 @@ def _times_variable(i, terms, n):
     exactly one: w(j) lies on the far side of w(i) and no position between
     them holds a value in between. Scanning away from i, the value swapped in
     last bounds the next one. Transpositions with j > n leave S_n and vanish.
+
+    Keys come and go without trailing fixed points. A key shorter than i
+    is read padded to i; past its m letters position j holds j, so only
+    m + 1 can be swapped in there, when no letter after i exceeds w(i).
     """
     out = {}
     get = out.get
     p = i - 1
     for w, c in terms.items():
+        m = len(w)
+        if m < i:
+            w += tuple(range(m + 1, i + 1))
+            m = i
         wi = w[p]
         hi = n + 1
-        for j in range(i, n):
+        for j in range(i, m if m < n else n):
             v = w[j]
             if wi < v < hi:
                 hi = v
@@ -146,6 +149,10 @@ def _times_variable(i, terms, n):
                 out[key] = get(key, 0) + c
                 if v == wi + 1:
                     break
+        else:
+            if hi > m + 1:
+                key = w[:p] + (m + 1,) + w[i:] + (wi,)
+                out[key] = get(key, 0) + c
         lo = 0
         for j in range(p - 1, -1, -1):
             v = w[j]
@@ -166,7 +173,8 @@ def _transition(w):
     S_w = x_r S_v + the sum of S_{v t_ir} over the i < r where v t_ir is as
     long as w: the terms Monk's rule for x_r S_v subtracts, all that
     `_times_variable` returns with n = r (each term it adds leaves S_r).
-    Returns r, v and those v t_ir, each stripped of trailing fixed points.
+    Returns r, v and those v t_ir; v is stripped of trailing fixed points,
+    so the moves come out stripped too.
     """
     p = len(w) - 2
     while w[p] < w[p + 1]:
@@ -175,13 +183,13 @@ def _transition(w):
     q = p + 1
     while q + 1 < len(w) and w[q + 1] < wr:
         q += 1
-    v = w[:p] + (w[q],) + w[p + 1:q] + (wr,) + w[q + 1:]
-    moves = [perm_strip(u) for u in _times_variable(p + 1, {v: 1}, p + 1)]
-    return p + 1, perm_strip(v), moves
+    v = perm_strip(w[:p] + (w[q],) + w[p + 1:q] + (wr,) + w[q + 1:])
+    return p + 1, v, list(_times_variable(p + 1, {v: 1}, p + 1))
 
 
 def _schubert_times(w, memo, n):
-    """S_w times the class memo[()], memoised by stripped permutation.
+    """S_w times the class memo[()], memoised by permutation (stripped, as
+    every key is).
 
     Walks the transition tree below w with an explicit stack, so its depth
     costs no Python recursion. It ends because each step either shortens
@@ -228,12 +236,12 @@ def flag_multiply(a, b):
         a, b = b, a
     space = a.space
     n = space.n
-    if b.terms == {identity_perm(n): 1}:
+    if b.terms == {(): 1}:
         return a
     memo = {(): a.terms}
     out = {}
     for v, c in b.terms.items():
-        for w, d in _schubert_times(perm_strip(v), memo, n).items():
+        for w, d in _schubert_times(v, memo, n).items():
             out[w] = out.get(w, 0) + c * d
     product = FlagClass._make(space, out)
     for w in product.terms:
@@ -242,5 +250,6 @@ def flag_multiply(a, b):
 
 
 def flag_integrate(a):
-    """Coefficient of the longest minimal representative (the point class)."""
-    return a.terms.get(a.space.top_representative(), 0)
+    """Coefficient of the point class, the dual of the unit: the longest
+    minimal representative."""
+    return a.terms.get(FlagClass._dual_key(a.space, ()), 0)

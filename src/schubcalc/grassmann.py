@@ -38,10 +38,6 @@ class GrassmannianDescriptor(Record):
     def complex_dimension(self):
         return self.k * self.l
 
-    @property
-    def box_partition(self):
-        return (self.l,) * self.k
-
     def __str__(self):
         return f"Gr({self.k}, C^{self.n})"
 
@@ -62,10 +58,6 @@ class GrassmannClass(SparseCombination):
         return lam
 
     @staticmethod
-    def _unit_key(space):
-        return ()
-
-    @staticmethod
     def _dual_key(space, lam):
         # the rotated box complement: the rows of lam that fill the box
         # would leave its trailing zeros
@@ -84,12 +76,12 @@ def gr_multiply(a, b):
 
 
 def gr_integrate(a):
-    """Coefficient of the point class sigma_{(l^k)}.
+    """Coefficient of the point class sigma_{(l^k)}, the dual of the unit.
 
     Degrees below the top integrate to zero; for inhomogeneous input the
     top-degree part alone contributes.
     """
-    return a.terms.get(a.space.box_partition, 0)
+    return a.terms.get(GrassmannClass._dual_key(a.space, ()), 0)
 
 
 def poincare_dual(lam, space):

@@ -13,7 +13,8 @@ So every halving class already carries the Schubert labels of one complex
 space, its `index_space`: the doubled space Gr(2k, C^2n) or Fl_2D(C^2n) of a
 real even space, the fixed point for the others. Keys are stored as the
 complex class there stores them, partitions in the box or minimal coset
-representatives padded to n. JSON indices, ordered set partitions among
+representatives without trailing fixed points (a doubled key strips whole
+pairs, so it still halves). JSON indices, ordered set partitions among
 them, are read by `serialize.index_from_json`, Python ones by `_index_key`;
 `solve` trusts the keys it is given.
 
@@ -70,6 +71,7 @@ from .indexing import (
     perm_double,
     perm_from_osp,
     perm_halve,
+    perm_pad,
 )
 
 REAL_EVEN = "real_even_flag"
@@ -152,11 +154,11 @@ class HalvingSpaceDescriptor(Record):
 def _index_key(space, index):
     """The stored key of an index: its complex key on `space.index_space`.
 
-    Partitions must fit the box. A permutation of 1..n on a real even or
-    quaternionic flag stands for its coset, while the octonionic flag takes
-    minimal permutations padded to 3, as the complex full flag does.
-    Doubledness is not checked here; the halving operations enforce it where
-    required.
+    Partitions must fit the box. A permutation of 1..m, m <= n, on a real
+    even or quaternionic flag is padded with fixed points to n and stands
+    for its coset, while the octonionic flag takes minimal permutations, as
+    the complex full flag does. Doubledness is not checked here; the halving
+    operations enforce it where required.
     """
     ix = space.index_space
     if space.grassmannian_fixed_point:
@@ -165,7 +167,8 @@ def _index_key(space, index):
             raise ValueError(f"partition {lam} does not fit {space}")
         return lam
     if space.kind != OCTONIONIC:
-        index = perm_from_osp(osp_from_perm(normalize_perm(index), ix.dims))
+        index = perm_pad(normalize_perm(index), ix.n)
+        index = perm_from_osp(osp_from_perm(index, ix.dims))
     return FlagClass._key(ix, index)
 
 
@@ -181,6 +184,8 @@ def _halve(space, index):
     try:
         return halve(index)
     except NotADouble as exc:
+        if not space.grassmannian_fixed_point:
+            index = perm_pad(index, space.index_space.n)  # as output writes it
         raise NotADoubleIndex(f"index {index} is not a doubled index") from exc
 
 
@@ -195,7 +200,8 @@ class HalvingClass(SparseCombination):
     """Rational combination of Schubert classes on a halving space.
 
     Keys are stored as the complex class on `space.index_space` stores them:
-    partitions in its box, or minimal coset representatives padded to n.
+    partitions in its box, or minimal coset representatives without
+    trailing fixed points.
     """
 
     __slots__ = ()
@@ -206,11 +212,6 @@ class HalvingClass(SparseCombination):
 
     def _rank(self, index):
         return _complex_ring(self.space.index_space)._rank(index)
-
-    @staticmethod
-    def _unit_key(space):
-        ix = space.index_space
-        return _complex_ring(ix)._unit_key(ix)
 
     def _product(self, other):
         return real_double_multiply(self, other)

@@ -117,10 +117,6 @@ def normalize_perm(w):
     return w
 
 
-def identity_perm(n):
-    return tuple(range(1, n + 1))
-
-
 def perm_strip(w):
     """Drop trailing fixed points: the stable form of w."""
     n = len(w)

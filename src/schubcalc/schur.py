@@ -224,10 +224,6 @@ class SchurExpansion(SparseCombination):
     def _key(space, lam):
         return normalize_partition(lam)
 
-    @staticmethod
-    def _unit_key(space):
-        return ()
-
     def _product(self, other):
         return schur_multiply(self, other)
 

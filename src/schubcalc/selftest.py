@@ -173,10 +173,6 @@ class SparsePolynomial(SparseCombination):
     def _key(space, exps):
         return _strip(tuple(exps))
 
-    @staticmethod
-    def _unit_key(space):
-        return ()
-
     def _product(self, other):
         a, b = self.terms, other.terms
         if len(a) > len(b):
@@ -358,6 +354,7 @@ def monk_multiply(r, a):
     n = space.n
     out = {}
     for w, c in a.terms.items():
+        w = perm_pad(w, n)
         for i in range(1, r + 1):
             for j in range(r + 1, n + 1):
                 lo, hi = w[i - 1], w[j - 1]
@@ -367,7 +364,7 @@ def monk_multiply(r, a):
                     continue
                 nw = perm_swap_positions(w, i, j)
                 out[nw] = out.get(nw, 0) + c
-    return FlagClass._make(space, out)
+    return FlagClass(space, out)
 
 
 # ---------------------------------------------------------------------------
@@ -626,7 +623,7 @@ def _check_flag_polynomials():
             for w, c in expand_in_schubert_basis(product, 2 * n - 1).items():
                 w = indexing_mod.perm_strip(w)
                 if len(w) <= n:
-                    want[indexing_mod.perm_pad(w, n)] = c
+                    want[w] = c
             got = flag_mod.flag_multiply(
                 flag_mod.FlagClass.basis(space, u),
                 flag_mod.FlagClass.basis(space, v),

@@ -35,6 +35,7 @@ from .indexing import (
     osp_block_sizes,
     osp_from_perm,
     perm_from_osp,
+    perm_pad,
 )
 from .schur import SchurExpansion
 
@@ -152,8 +153,9 @@ def index_from_json(space, raw):
 
     A Grassmannian index is a partition; a flag index is a permutation or an
     OSP whose blocks are those of the space (of its index space, for a
-    halving space), which becomes the minimal permutation of its blocks.
-    Either then goes through the `_key` of the space's class type.
+    halving space), which becomes the minimal permutation of its blocks. A
+    permutation on a real even or quaternionic flag names its coset by all n
+    letters. Either then goes through the `_key` of the space's class type.
     """
     ix = space.index_space if isinstance(space, HalvingSpaceDescriptor) else space
     try:
@@ -166,6 +168,8 @@ def index_from_json(space, raw):
             index = perm_from_osp(osp)
         else:
             index = _int_list(raw, "a permutation index")
+            if _space_kind(space) in (REAL_EVEN, QUATERNIONIC) and len(index) != ix.n:
+                raise ValueError(f"block sizes {ix.dims!r} do not sum to {len(index)}")
         return _class_type(space)._key(space, index)
     except (BoxOverflow, ValueError) as exc:
         raise ProblemSchemaError(f"invalid index {raw!r}: {exc}") from None
@@ -196,9 +200,12 @@ def _term_key_name(a):
 def class_to_json(a):
     key_name = _term_key_name(a)
     pairs = a.sorted_terms()
+    if key_name != "partition":
+        # stored flag keys have no trailing fixed points; output has n letters
+        ix = getattr(a.space, "index_space", a.space)
+        pairs = [(perm_pad(w, ix.n), c) for w, c in pairs]
     if key_name == "osp":
-        dims = a.space.index_space.dims
-        pairs = [(osp_from_perm(w, dims), c) for w, c in pairs]
+        pairs = [(osp_from_perm(w, ix.dims), c) for w, c in pairs]
     terms = [_term_entry(key_name, index, c) for index, c in pairs]
     if a.space is None:
         return {"terms": terms}

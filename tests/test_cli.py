@@ -426,6 +426,45 @@ def test_huge_flag_key_is_checked_before_padding(tmp_path):
     assert "not a minimal coset representative" in proc.stderr
 
 
+def test_one_block_flag_of_huge_dimension_is_a_point(tmp_path):
+    # Fl(C^(10^8)) with one block is a point, and [1] its unit: stored keys
+    # have no trailing fixed points, so nothing is padded to 10^8 letters
+    space = {"type": "complex_flag", "dims": [10**8]}
+    path = write_problem(tmp_path, problem(space, [{"index": [1], "count": 1}]))
+    proc = run_capped(["solve", "--input", path])
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["result"] == 1
+
+
+@pytest.mark.parametrize(
+    "space,index,message",
+    [
+        # a permutation on a real even or quaternionic flag names its coset
+        # by all n letters
+        (
+            {"type": "real_even_flag", "dims": [2, 2]},
+            [2, 1],
+            "invalid index [2, 1]: block sizes (2, 2) do not sum to 2",
+        ),
+        (
+            {"type": "quaternionic_flag", "dims": [1, 1, 1]},
+            [2, 1],
+            "invalid index [2, 1]: block sizes (1, 1, 1) do not sum to 2",
+        ),
+        (
+            FL3,
+            [2, 1, 3, 4],
+            "invalid index [2, 1, 3, 4]: cannot pad (2, 1, 3, 4) down to length 3",
+        ),
+    ],
+)
+def test_flag_permutations_of_the_wrong_length(capsys, tmp_path, space, index, message):
+    payload = problem(space, [{"index": index, "count": 1}])
+    code, out, err = solve_json(capsys, tmp_path, payload)
+    assert (code, out) == (2, ""), err
+    assert f"error: condition 1: {message}" in err.splitlines()
+
+
 def test_long_dimension_vector_is_written_in_runs(tmp_path):
     n = 3000
     longest = {"index": list(range(n, 0, -1))}

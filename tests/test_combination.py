@@ -61,7 +61,7 @@ def halving():
             HalvingSpaceDescriptor.real_even_grassmannian(4, 8), (2, 2)
         ),
         rebuild=lambda x: HalvingClass(x.space, x.terms),
-        bad=lambda: HalvingClass.basis(FL222R6, (1, 2, 3)),
+        bad=lambda: HalvingClass.basis(FL222R6, (1, 2, 3, 4, 5, 6, 7)),
         error=ValueError,
     )
 

@@ -9,9 +9,21 @@ from hypothesis import given, settings, strategies as st
 
 from schubcalc.errors import SpaceMismatch, SupportOutsideStaircase
 from flag_oracle import partition_to_osp
-from schubcalc.flag import FlagClass, FlagDescriptor, flag_integrate, flag_multiply
+from schubcalc.flag import (
+    FlagClass,
+    FlagDescriptor,
+    _times_variable,
+    flag_integrate,
+    flag_multiply,
+)
 from schubcalc.grassmann import GrassmannClass, GrassmannianDescriptor, gr_integrate
-from schubcalc.indexing import perm_from_osp, perm_length, perm_pad
+from schubcalc.indexing import (
+    is_minimal_rep,
+    perm_from_osp,
+    perm_length,
+    perm_pad,
+    perm_strip,
+)
 from schubcalc.selftest import (
     SparsePolynomial,
     divided_difference,
@@ -172,8 +184,11 @@ def test_flag_integrate_s3():
     triple = flag_multiply(flag_multiply(s1, s2), s1)
     assert flag_integrate(triple) == 1
     assert flag_integrate(FlagClass.unit(FL3)) == 0
-    assert FL3.top_representative() == (3, 2, 1)
-    assert FL22.top_representative() == (3, 4, 1, 2)
+    # the point class is the dual of the unit: the longest minimal
+    # representative
+    assert FlagClass._dual_key(FL3, ()) == (3, 2, 1)
+    assert FlagClass._dual_key(FL22, ()) == (3, 4, 1, 2)
+    assert FlagClass._dual_key(FlagDescriptor((3,)), ()) == ()
 
 
 def test_structure_constants_s4_sample():
@@ -209,6 +224,28 @@ def test_monk_agrees_with_flag_multiply():
             for w in group:
                 a = FlagClass.basis(space, w)
                 assert monk_multiply(r, a) == flag_multiply(s_r, a), (r, w)
+
+
+def test_monk_step_reads_the_stripped_form():
+    # x_i S_w from the stripped key equals the full-length step, stripped:
+    # at n = 6, and at n = i as the transition step calls it
+    for w in all_perms(6):
+        for i in range(1, 7):
+            for n in (6, i):
+                full = _times_variable(i, {w: 1}, n)
+                want = {perm_strip(u): c for u, c in full.items()}
+                assert _times_variable(i, {perm_strip(w): 1}, n) == want, (w, i, n)
+
+
+@pytest.mark.parametrize("space", [FlagDescriptor((1,) * 5), FlagDescriptor((2, 1, 2))])
+def test_stripped_keys_sort_as_padded_keys(space):
+    # output is sorted by (degree, key) before it is padded, so within a
+    # degree the stripped keys must keep the order of the padded ones
+    reps = [w for w in all_perms(space.n) if is_minimal_rep(w, space.dims)]
+    for u in reps:
+        for v in reps:
+            if perm_length(u) == perm_length(v):
+                assert (perm_strip(u) < perm_strip(v)) == (u < v), (u, v)
 
 
 @pytest.mark.parametrize("k,n", [(2, 4), (2, 5)])

@@ -57,7 +57,7 @@ def test_descriptor_validation():
         GrassmannianDescriptor(4, 4)
     assert GR24.l == 2
     assert GR36.complex_dimension == 9
-    assert GR25.box_partition == (3, 3)
+    assert GrassmannClass._dual_key(GR25, ()) == (3, 3)
 
 
 def test_box_enforced():
@@ -83,7 +83,7 @@ def test_class_seeded_product_matches_the_pairwise_oracle():
     cases = []
     for space in (GR25, GR36, GR48, GR510):
         unit, zero = GrassmannClass.unit(space), GrassmannClass.zero(space)
-        top = GrassmannClass.basis(space, space.box_partition)
+        top = GrassmannClass.basis(space, GrassmannClass._dual_key(space, ()))
         many = signed_class(space, rng, 6)
         cases += [
             (unit, many), (zero, many), (unit, unit), (zero, zero),

@@ -150,6 +150,17 @@ def test_kappa_is_ring_homomorphism_flag():
         assert left == right, (u, v)
 
 
+def test_flag_basis_pads_a_short_permutation():
+    # as FlagClass.basis does: a permutation shorter than n is padded with
+    # fixed points, stands for its coset, and is stored without them
+    quat = HalvingSpaceDescriptor.quaternionic_flag((1, 2, 1))
+    assert HalvingClass.basis(quat, (2, 1)).terms == {(2, 1): 1}
+    assert HalvingClass.basis(quat, (2, 1)) == HalvingClass.basis(quat, (2, 3, 1, 4))
+    short = HalvingClass.basis(FL222R6, (4, 3, 2, 1))
+    assert short == HalvingClass.basis(FL222R6, (3, 4, 1, 2, 5, 6))
+    assert short.terms == {(3, 4, 1, 2): 1}
+
+
 def test_real_lower_bound_paper_instances():
     problem = SchubertProblem(GR8R16, (((4, 4, 4, 4), 4),))
     assert real_lower_bound(problem) == 6

@@ -29,7 +29,7 @@ from schubcalc.halving import (
     quaternionic_count,
     real_lower_bound,
 )
-from schubcalc.indexing import is_minimal_rep, partition_double, perm_double
+from schubcalc.indexing import is_minimal_rep, partition_double, perm_double, perm_strip
 from schubcalc.selftest import partitions_in_box
 from schubcalc.serialize import ParsedProblem
 
@@ -53,7 +53,11 @@ def keys(space):
     if isinstance(space, GrassmannianDescriptor):
         return list(partitions_in_box(space.k, space.l))
     n = space.n
-    return [w for w in permutations(range(1, n + 1)) if is_minimal_rep(w, space.dims)]
+    return [
+        perm_strip(w)
+        for w in permutations(range(1, n + 1))
+        if is_minimal_rep(w, space.dims)
+    ]
 
 
 def forward_count(space, conditions):

@@ -64,12 +64,14 @@ def test_space_from_json_rejects(obj):
 def test_index_forms():
     assert index_from_json(GR24, [2, 1]) == (2, 1)
     assert index_from_json(GR24, [1, 1, 0]) == (1, 1)
-    assert index_from_json(FL3, [2, 1, 3]) == (2, 1, 3)
-    assert index_from_json(FL3, [2, 1]) == (2, 1, 3)
-    assert index_from_json(FL222R6, [[2, 4], [1, 3], [5, 6]]) == (2, 4, 1, 3, 5, 6)
-    assert index_from_json(FL222R6, [4, 2, 3, 1, 6, 5]) == (2, 4, 1, 3, 5, 6)
-    assert index_from_json(OCT, [2, 1]) == (2, 1, 3)
-    assert index_from_json(OCT, [[2], [1], [3]]) == (2, 1, 3)
+    # flag keys are stored without trailing fixed points
+    assert index_from_json(FL3, [2, 1, 3]) == (2, 1)
+    assert index_from_json(FL3, [2, 1]) == (2, 1)
+    assert index_from_json(FL3, [1, 2, 3]) == ()
+    assert index_from_json(FL222R6, [[2, 4], [1, 3], [5, 6]]) == (2, 4, 1, 3)
+    assert index_from_json(FL222R6, [4, 2, 3, 1, 6, 5]) == (2, 4, 1, 3)
+    assert index_from_json(OCT, [2, 1]) == (2, 1)
+    assert index_from_json(OCT, [[2], [1], [3]]) == (2, 1)
     assert index_from_json(GR4R8, [4, 4]) == (4, 4)
 
 
