@@ -22,7 +22,7 @@ from .grassmann import (
     degeneracy_count_and_locus,
     giambelli,
 )
-from .halving import REAL_EVEN, HalvingSpaceDescriptor, kappa
+from .halving import COMPLEX, REAL_EVEN, kappa
 from .schur import lr_coefficient
 from .serialize import (
     TERM_KEYS,
@@ -159,7 +159,7 @@ def cmd_lr(args):
 
 def cmd_mult(args):
     space = space_from_json(_load_json(args.space, "the space"))
-    if isinstance(space, HalvingSpaceDescriptor) and space.kind != REAL_EVEN:
+    if space.kind not in (COMPLEX, REAL_EVEN):
         raise ProblemSchemaError(
             "products are exposed for complex and real even spaces only"
         )
@@ -215,7 +215,7 @@ def cmd_porteous(args):
 
 def cmd_kappa(args):
     space = space_from_json(_load_json(args.space, "the space"))
-    if not isinstance(space, HalvingSpaceDescriptor):
+    if space.kind == COMPLEX:
         raise ProblemSchemaError("the halving map needs a real, quaternionic, or octonionic space")
     cls = class_from_json(space, _load_json(args.cls, "the class"))
     try:

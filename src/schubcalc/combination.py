@@ -25,7 +25,8 @@ key of u and 0 otherwise). `intersection_number` reads a count from it.
 
 `decimal_text` writes a coefficient exactly, however many digits it has,
 for output and for error messages alike. `Record` is the immutable,
-field-compared base of the descriptors and problem records.
+field-compared base of the descriptors and problem records; `COMPLEX` is
+the `kind` of the complex ones (the space protocol of `halving`).
 """
 
 from fractions import Fraction
@@ -36,6 +37,8 @@ from .errors import SpaceMismatch
 # (4300 by default since 3.11); decimal_text writes pieces far below that.
 _PIECE_DIGITS = 1000
 _PIECE = 10 ** _PIECE_DIGITS
+
+COMPLEX = "complex"
 
 
 def decimal_text(x):

@@ -27,7 +27,7 @@ written in `serialize` alone.
 
 from itertools import groupby
 
-from .combination import Record, SparseCombination
+from .combination import COMPLEX, Record, SparseCombination
 from .indexing import (
     is_minimal_rep,
     normalize_perm,
@@ -41,6 +41,9 @@ class FlagDescriptor(Record):
     """Fl_D(C^n): flags with subquotient dimensions D = (d_1, ..., d_r)."""
 
     __slots__ = _fields = ("dims",)
+    kind = COMPLEX
+    fixed_point = index_space = property(lambda self: self)
+    classes = property(lambda self: FlagClass)
 
     def __init__(self, dims):
         dims = tuple(int(d) for d in dims)

@@ -9,7 +9,7 @@ half of its product with the rest through the rotated box complement
 (combination.intersection_number).
 """
 
-from .combination import Record, SparseCombination, intersection_number
+from .combination import COMPLEX, Record, SparseCombination, intersection_number
 from .errors import (
     BoxOverflow,
     DegreeOutOfRange,
@@ -24,6 +24,9 @@ class GrassmannianDescriptor(Record):
     """Gr_k(C^n): k-dimensional subspaces of C^n."""
 
     __slots__ = _fields = ("k", "n")
+    kind = COMPLEX
+    fixed_point = index_space = property(lambda self: self)
+    classes = property(lambda self: GrassmannClass)
 
     def __init__(self, k, n):
         if not 0 < k < n:
@@ -132,6 +135,15 @@ def giambelli(lam, space):
     return ring_determinant(mat, GrassmannClass.unit(space))
 
 
+def _check_ranks(e, f, rho):
+    """Bundle ranks e, f and a rank bound rho that a map E -> F can have."""
+    for name, rank in (("e", e), ("f", f)):
+        if rank < 0:
+            raise ValueError(f"need {name} >= 0, got {name}={rank}")
+    if rho < 0 or rho > min(e, f):
+        raise ValueError(f"need 0 <= rho <= min(e, f), got rho={rho}")
+
+
 def thom_porteous(e, f, rho, c):
     """Degeneracy-locus class for a generic map E -> F of ranks e, f.
 
@@ -145,8 +157,7 @@ def thom_porteous(e, f, rho, c):
     if not c:
         raise MissingChernDegree("need at least the degree-0 Chern class")
     space = c[0].space
-    if rho < 0 or rho > min(e, f):
-        raise ValueError(f"need 0 <= rho <= min(e, f), got rho={rho}")
+    _check_ranks(e, f, rho)
     d = e - rho
     zero = GrassmannClass.zero(space)
 
@@ -197,8 +208,7 @@ def degeneracy_count(space, e, f, rho, m):
 def degeneracy_count_and_locus(space, e, f, rho, m):
     """`degeneracy_count` and the locus class it integrates; at codimension
     0 the matrix is unitriangular, so the locus is the unit, unexpanded."""
-    if rho < 0 or rho > min(e, f):
-        raise ValueError(f"need 0 <= rho <= min(e, f), got rho={rho}")
+    _check_ranks(e, f, rho)
     if m < 0:
         raise ValueError(f"need a nonnegative number of maps, got {m}")
     codim = (e - rho) * (f - rho)

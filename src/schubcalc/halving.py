@@ -9,14 +9,20 @@ and the octonionic flag (complete flags in the 3-dimensional octonionic
 plane-field sense) maps with multiplicity 1 onto the quaternionic ring of
 three-step flags.
 
-So every halving class already carries the Schubert labels of one complex
-space, its `index_space`: the doubled space Gr(2k, C^2n) or Fl_2D(C^2n) of a
-real even space, the fixed point for the others. Keys are stored as the
-complex class there stores them, partitions in the box or minimal coset
-representatives without trailing fixed points (a doubled key strips whole
-pairs, so it still halves). JSON indices, ordered set partitions among
-them, are read by `serialize.index_from_json`, Python ones by `_index_key`;
-`solve` trusts the keys it is given.
+Every space descriptor states four things, which callers read instead of
+testing its type: its `kind` (COMPLEX, REAL_EVEN, QUATERNIONIC or
+OCTONIONIC), its `fixed_point`, the complex space that carries the halved
+ring, its `index_space`, whose Schubert labels key its classes, and
+`classes`, its class type. A complex Grassmannian or flag manifold is its
+own fixed point and index space, so `_multiply_conditions` multiplies in
+`space.fixed_point.classes` on every space. The index space of a real even
+space is the doubled space Gr(2k, C^2n) or Fl_2D(C^2n), that of the others
+their fixed point. Keys are stored as the complex class there stores them,
+partitions in the box or minimal coset representatives without trailing
+fixed points (a doubled key strips whole pairs, so it still halves). JSON
+indices, ordered set partitions among them, are read by
+`serialize.index_from_json`, Python ones by `_index_key`; `solve` trusts the
+keys it is given.
 
 Why this yields lower bounds: for a zero-dimensional real intersection
 problem with doubled conditions, each solution carries a sign, and the
@@ -40,9 +46,9 @@ of every copy in input order.
 """
 
 from fractions import Fraction
-from functools import cached_property
 
 from .combination import (
+    COMPLEX,
     Record,
     SparseCombination,
     decimal_text,
@@ -56,7 +62,6 @@ from .errors import (
 )
 from .flag import FlagClass, FlagDescriptor, _dims_text
 from .grassmann import (
-    GrassmannClass,
     GrassmannianDescriptor,
     chern_class,
     degeneracy_count,
@@ -83,10 +88,13 @@ _KINDS = (REAL_EVEN, QUATERNIONIC, OCTONIONIC)
 class HalvingSpaceDescriptor(Record):
     """A halving space, recorded by its kind and complex fixed-point space.
 
-    It keeps a __dict__, where `index_space` is cached.
+    Its `index_space` is set once, here, and is not a field: two halving
+    spaces compare, hash and pickle by (kind, fixed_point) alone.
     """
 
+    __slots__ = ("kind", "fixed_point", "index_space")
     _fields = ("kind", "fixed_point")
+    classes = property(lambda self: HalvingClass)
 
     def __init__(self, kind, fixed_point):
         if kind not in _KINDS:
@@ -96,6 +104,12 @@ class HalvingSpaceDescriptor(Record):
         if kind == OCTONIONIC and fixed_point != FlagDescriptor((1, 1, 1)):
             raise ValueError("the octonionic flag only exists on three letters")
         super().__init__(kind, fixed_point)
+        ix = fixed_point
+        if kind == REAL_EVEN and self.grassmannian_fixed_point:
+            ix = GrassmannianDescriptor(2 * ix.k, 2 * ix.n)
+        elif kind == REAL_EVEN:
+            ix = FlagDescriptor(tuple(2 * d for d in ix.dims))
+        object.__setattr__(self, "index_space", ix)
 
     @classmethod
     def real_even_grassmannian(cls, k, n):
@@ -130,16 +144,6 @@ class HalvingSpaceDescriptor(Record):
     @property
     def grassmannian_fixed_point(self):
         return isinstance(self.fixed_point, GrassmannianDescriptor)
-
-    @cached_property
-    def index_space(self):
-        """The complex space whose Schubert labels index this space's classes."""
-        fp = self.fixed_point
-        if self.kind != REAL_EVEN:
-            return fp
-        if self.grassmannian_fixed_point:
-            return GrassmannianDescriptor(2 * fp.k, 2 * fp.n)
-        return FlagDescriptor(tuple(2 * d for d in fp.dims))
 
     def __str__(self):
         if self.kind == OCTONIONIC:
@@ -189,13 +193,6 @@ def _halve(space, index):
         raise NotADoubleIndex(f"index {index} is not a doubled index") from exc
 
 
-def _complex_ring(fp):
-    """The class type of a complex Grassmannian or flag manifold."""
-    if isinstance(fp, GrassmannianDescriptor):
-        return GrassmannClass
-    return FlagClass
-
-
 class HalvingClass(SparseCombination):
     """Rational combination of Schubert classes on a halving space.
 
@@ -211,7 +208,7 @@ class HalvingClass(SparseCombination):
     _key = staticmethod(_index_key)
 
     def _rank(self, index):
-        return _complex_ring(self.space.index_space)._rank(index)
+        return self.space.index_space.classes._rank(index)
 
     def _product(self, other):
         return real_double_multiply(self, other)
@@ -230,7 +227,7 @@ def kappa(a):
         target = HalvingSpaceDescriptor.quaternionic_flag((1, 1, 1))
         return HalvingClass._make(target, a.terms)
     fp = space.fixed_point
-    ring = _complex_ring(fp)
+    ring = fp.classes
     terms = {}
     for index, c in a.terms.items():
         key = _halve(space, index)
@@ -274,7 +271,7 @@ def real_double_multiply(a, b):
     if space.kind != REAL_EVEN:
         raise ValueError(f"doubled-index product needs a real even space, not {space}")
     fp = space.fixed_point
-    ring = _complex_ring(fp)
+    ring = fp.classes
     left, right = (
         ring._make(fp, {_halve(space, k): c for k, c in x.terms.items()}) for x in (a, b)
     )
@@ -298,16 +295,17 @@ class SchubertProblem(Record):
         super().__init__(space, tuple(fixed))
 
 
-def _multiply_conditions(space, conditions, count_mode, what="conditions"):
+def _multiply_conditions(space, conditions, count_mode):
     """Multiply complex basis classes with multiplicities, degree checked first.
 
-    `conditions` are (complex key, count) pairs on the complex space of
-    `space` (itself, or its fixed point for a halving space). The total
+    `conditions` are (complex key, count) pairs on `space.fixed_point`,
+    multiplied there in `space.fixed_point.classes`; a complex space is its
+    own fixed point, and real even conditions arrive halved. The total
     degree is checked before anything is multiplied: in count mode it must
     equal the dimension and the point-class coefficient is returned; in
     class mode the product class is returned, and a degree above the
     dimension gives the zero class at once. Degree-0 conditions are the unit
-    and are skipped.
+    and are skipped. A mismatch message names its terms by `space.kind`.
 
     A class is the product of every copy of every condition, in input
     order, starting from the first copy. A count is the pairing <X, X L>
@@ -317,8 +315,8 @@ def _multiply_conditions(space, conditions, count_mode, what="conditions"):
     X carries at least a third of the dimension, and otherwise multiplies
     every copy as a class does and reads the point-class coefficient.
     """
-    fp = space.fixed_point if isinstance(space, HalvingSpaceDescriptor) else space
-    ring = _complex_ring(fp)
+    fp = space.fixed_point
+    ring = fp.classes
     factors, total = [], 0
     for key, count in conditions:
         degree = ring._rank(key)
@@ -327,7 +325,8 @@ def _multiply_conditions(space, conditions, count_mode, what="conditions"):
             total += count * degree
     dim = fp.complex_dimension
     if count_mode and total != dim:
-        name = "dimension" if fp is space else "fixed-point dimension"
+        what = "halved conditions" if space.kind == REAL_EVEN else "conditions"
+        name = "dimension" if space.kind == COMPLEX else "fixed-point dimension"
         raise DimensionMismatch(
             f"{what} fill degree {total}, but {space} has {name} {dim}"
         )
@@ -363,7 +362,7 @@ def real_lower_bound(problem):
     space = problem.space
     if space.kind != REAL_EVEN:
         raise ValueError(f"real lower bounds need a real even space, not {space}")
-    return _multiply_conditions(space, _halved(problem), True, "halved conditions")
+    return _multiply_conditions(space, _halved(problem), True)
 
 
 def quaternionic_count(problem):
@@ -442,7 +441,7 @@ def solve(parsed):
     Fl(C^3)). The condition indices are stored keys, already checked.
     """
     space = parsed.space
-    if not isinstance(space, HalvingSpaceDescriptor):
+    if space.kind == COMPLEX:
         count_mode = parsed.mode == "count"
         value = _multiply_conditions(space, parsed.conditions, count_mode)
         return value, _PROVENANCE[parsed.mode]

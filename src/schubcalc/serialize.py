@@ -5,6 +5,10 @@ once and returns the key classes on the space store, so ordered set
 partitions are read and written only in this module. Index errors become
 `ProblemSchemaError`, which `parse_problem` prefixes with the condition.
 
+A space is read through the protocol of `halving`: its `kind` picks the
+modes and the JSON family, its `index_space` the shape and the term key,
+and its `classes` the class type that keys an index.
+
 Output is deterministic: term lists are sorted by (degree, index) and all
 term coefficients are decimal strings, so arbitrarily large integers and
 rational halving coefficients travel without width ambiguity. They are
@@ -19,15 +23,14 @@ from fractions import Fraction
 
 from .combination import Record, decimal_text
 from .errors import BoxOverflow
-from .flag import FlagClass, FlagDescriptor
-from .grassmann import GrassmannClass, GrassmannianDescriptor
+from .flag import FlagDescriptor
+from .grassmann import GrassmannianDescriptor
 from .halving import (
+    COMPLEX,
     OCTONIONIC,
     QUATERNIONIC,
     REAL_EVEN,
-    HalvingClass,
     HalvingSpaceDescriptor,
-    _complex_ring,
 )
 from .indexing import (
     normalize_osp,
@@ -37,7 +40,6 @@ from .indexing import (
     perm_from_osp,
     perm_pad,
 )
-from .schur import SchurExpansion
 
 INT63 = 2 ** 63
 TERM_KEYS = ("partition", "permutation", "osp", "index")
@@ -55,22 +57,14 @@ def result_to_json(x):
 
 
 def space_to_json(space):
-    if isinstance(space, GrassmannianDescriptor):
-        return {"type": "complex_grassmannian", "k": space.k, "n": space.n}
-    if isinstance(space, FlagDescriptor):
-        return {"type": "complex_flag", "dims": list(space.dims)}
-    if isinstance(space, HalvingSpaceDescriptor):
-        fp = space.fixed_point
-        if space.kind == OCTONIONIC:
-            return {"type": "octonionic_flag"}
-        if space.kind == QUATERNIONIC:
-            if space.grassmannian_fixed_point:
-                return {"type": "quaternionic_grassmannian", "k": fp.k, "n": fp.n}
-            return {"type": "quaternionic_flag", "dims": list(fp.dims)}
-        if space.grassmannian_fixed_point:
-            return {"type": "real_even_grassmannian", "k": 2 * fp.k, "n": 2 * fp.n}
-        return {"type": "real_even_flag", "dims": [2 * d for d in fp.dims]}
-    raise TypeError(f"cannot serialize {type(space).__name__}")
+    """A space's JSON type is its kind's family (the kind without `_flag`)
+    and its shape, that of its index space, which a real even space doubles."""
+    if space.kind == OCTONIONIC:
+        return {"type": "octonionic_flag"}
+    family, ix = space.kind.removesuffix("_flag"), space.index_space
+    if isinstance(ix, GrassmannianDescriptor):
+        return {"type": f"{family}_grassmannian", "k": ix.k, "n": ix.n}
+    return {"type": f"{family}_flag", "dims": list(ix.dims)}
 
 
 def _require(cond, message):
@@ -142,12 +136,6 @@ def partition_from_json(raw):
         raise ProblemSchemaError(f"invalid index {raw!r}: {exc}") from None
 
 
-def _class_type(space):
-    if isinstance(space, HalvingSpaceDescriptor):
-        return HalvingClass
-    return _complex_ring(space)
-
-
 def index_from_json(space, raw):
     """The key that classes on `space` store for a JSON index.
 
@@ -155,9 +143,9 @@ def index_from_json(space, raw):
     OSP whose blocks are those of the space (of its index space, for a
     halving space), which becomes the minimal permutation of its blocks. A
     permutation on a real even or quaternionic flag names its coset by all n
-    letters. Either then goes through the `_key` of the space's class type.
+    letters. Either then goes through the `_key` of `space.classes`.
     """
-    ix = space.index_space if isinstance(space, HalvingSpaceDescriptor) else space
+    ix = space.index_space
     try:
         if isinstance(ix, GrassmannianDescriptor):
             index = _int_list(raw, "a partition index")
@@ -168,9 +156,9 @@ def index_from_json(space, raw):
             index = perm_from_osp(osp)
         else:
             index = _int_list(raw, "a permutation index")
-            if _space_kind(space) in (REAL_EVEN, QUATERNIONIC) and len(index) != ix.n:
+            if space.kind in (REAL_EVEN, QUATERNIONIC) and len(index) != ix.n:
                 raise ValueError(f"block sizes {ix.dims!r} do not sum to {len(index)}")
-        return _class_type(space)._key(space, index)
+        return space.classes._key(space, index)
     except (BoxOverflow, ValueError) as exc:
         raise ProblemSchemaError(f"invalid index {raw!r}: {exc}") from None
 
@@ -185,24 +173,20 @@ def _term_entry(key_name, index, coeff):
     return {key_name: index_to_json(index), "coeff": decimal_text(coeff)}
 
 
-def _term_key_name(a):
-    if isinstance(a, (SchurExpansion, GrassmannClass)):
+def _term_key_name(space):
+    """Partitions on a Grassmannian and on no space (a Schur expansion); OSPs
+    on real even and quaternionic flags; permutations on the others."""
+    if space is None or isinstance(space.index_space, GrassmannianDescriptor):
         return "partition"
-    if isinstance(a, FlagClass):
-        return "permutation"
-    if isinstance(a, HalvingClass):
-        if a.space.grassmannian_fixed_point:
-            return "partition"
-        return "permutation" if a.space.kind == OCTONIONIC else "osp"
-    raise TypeError(f"cannot serialize {type(a).__name__}")
+    return "osp" if space.kind in (REAL_EVEN, QUATERNIONIC) else "permutation"
 
 
 def class_to_json(a):
-    key_name = _term_key_name(a)
+    key_name = _term_key_name(a.space)
     pairs = a.sorted_terms()
     if key_name != "partition":
         # stored flag keys have no trailing fixed points; output has n letters
-        ix = getattr(a.space, "index_space", a.space)
+        ix = a.space.index_space
         pairs = [(perm_pad(w, ix.n), c) for w, c in pairs]
     if key_name == "osp":
         pairs = [(osp_from_perm(w, ix.dims), c) for w, c in pairs]
@@ -234,7 +218,7 @@ def _parse_coefficient(raw, rational):
 
 def class_from_json(space, raw):
     """Build a class on `space` from a bare index or a {"terms": ...} object."""
-    cls = _class_type(space)
+    cls = space.classes
     if isinstance(raw, list):
         return cls._make(space, {index_from_json(space, raw): cls._zero + 1})
     if not isinstance(raw, dict) or not isinstance(raw.get("terms"), list):
@@ -243,7 +227,7 @@ def class_from_json(space, raw):
         )
     if not raw["terms"]:
         raise ProblemSchemaError("a class needs at least one term")
-    rational = cls is HalvingClass
+    rational = space.kind != COMPLEX
     terms = {}
     for entry in raw["terms"]:
         if not isinstance(entry, dict):
@@ -270,22 +254,18 @@ class ParsedProblem(Record):
 
 # The modes each family allows; the first is its default.
 _MODES = {
-    "complex": ("count", "class"),
+    COMPLEX: ("count", "class"),
     REAL_EVEN: ("lower_bound",),
     QUATERNIONIC: ("count",),
     OCTONIONIC: ("count",),
 }
 
 
-def _space_kind(space):
-    return getattr(space, "kind", "complex")
-
-
 def parse_problem(obj, mode_override=None):
     _require(isinstance(obj, dict), "a problem must be a JSON object")
     _require("space" in obj, "a problem needs a 'space'")
     space = space_from_json(obj["space"])
-    kind = _space_kind(space)
+    kind = space.kind
 
     # --mode replaces the file's mode unread
     mode = mode_override or obj.get("mode", _MODES[kind][0])
@@ -318,9 +298,7 @@ def parse_problem(obj, mode_override=None):
         )
         if has_corank:
             _require(
-                kind == REAL_EVEN
-                and isinstance(space, HalvingSpaceDescriptor)
-                and space.grassmannian_fixed_point,
+                kind == REAL_EVEN and space.grassmannian_fixed_point,
                 f"condition {pos}: corank conditions need a real even Grassmannian",
             )
             _require(

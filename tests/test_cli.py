@@ -608,10 +608,15 @@ def test_porteous_evaluates_at_most_one_determinant(monkeypatch, capsys):
 
 
 def test_porteous_rejects_bad_rank(capsys):
-    code, _, err = run_cli(
-        capsys, ["porteous", "--space", json.dumps(GR24), "2", "2", "3", "4"]
-    )
-    assert code == 2
+    # a negative bundle rank is named before rho is checked against it
+    for ranks, message in (
+        (["2", "2", "3", "4"], "need 0 <= rho <= min(e, f), got rho=3"),
+        (["-3", "2", "0", "1"], "need e >= 0, got e=-3"),
+        (["2", "-1", "0", "1"], "need f >= 0, got f=-1"),
+    ):
+        code, out, err = run_cli(capsys, ["porteous", "--space", json.dumps(GR24), *ranks])
+        assert (code, out) == (2, "")
+        assert err.splitlines()[0] == f"error: {message}"
 
 
 def test_porteous_rejects_negative_maps(capsys):

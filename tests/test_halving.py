@@ -18,9 +18,11 @@ from schubcalc.halving import (
     real_degeneracy_lower_bound,
     real_double_multiply,
     real_lower_bound,
+    solve,
 )
 from schubcalc.indexing import partition_double, perm_double
 from schubcalc.selftest import partitions_in_box
+from schubcalc.serialize import parse_problem
 
 GR8R16 = HalvingSpaceDescriptor.real_even_grassmannian(8, 16)
 GR4R8 = HalvingSpaceDescriptor.real_even_grassmannian(4, 8)
@@ -190,6 +192,30 @@ def test_quaternionic_count_examples():
         quaternionic_count(SchubertProblem(GR2H4, (((1,), 3),)))
     with pytest.raises(ValueError):
         quaternionic_count(SchubertProblem(GR4R8, (((2, 2), 4),)))
+
+
+def test_dimension_mismatch_names_its_terms_by_kind():
+    # complex spaces count their own dimension; halving spaces that of the
+    # fixed point, and real even ones count halved conditions
+    cases = [
+        ({"type": "complex_grassmannian", "k": 2, "n": 4}, [1], 3,
+         "conditions fill degree 3, but Gr(2, C^4) has dimension 4"),
+        ({"type": "complex_flag", "dims": [1, 1, 1]}, [2, 1, 3], 2,
+         "conditions fill degree 2, but Fl(1^3)(C^3) has dimension 3"),
+        ({"type": "real_even_grassmannian", "k": 4, "n": 8}, [2, 2], 3,
+         "halved conditions fill degree 3, but Gr(4, R^8) has fixed-point dimension 4"),
+        ({"type": "real_even_flag", "dims": [2, 2, 2]}, [3, 4, 1, 2, 5, 6], 2,
+         "halved conditions fill degree 2, but Fl(2^3)(R^6) has fixed-point dimension 3"),
+        ({"type": "quaternionic_grassmannian", "k": 2, "n": 4}, [1], 3,
+         "conditions fill degree 3, but Gr(2, H^4) has fixed-point dimension 4"),
+        ({"type": "octonionic_flag"}, [2, 1, 3], 1,
+         "conditions fill degree 1, but Fl(O^3) has fixed-point dimension 3"),
+    ]
+    for space, index, count, message in cases:
+        problem = {"space": space, "conditions": [{"index": index, "count": count}]}
+        with pytest.raises(DimensionMismatch) as exc:
+            solve(parse_problem(problem))
+        assert str(exc.value) == message
 
 
 def test_octonionic_count_through_kappa():

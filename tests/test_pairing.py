@@ -242,7 +242,7 @@ def test_records_keep_their_dataclass_repr_hash_and_equality():
         "fixed_point=GrassmannianDescriptor(k=2, n=4)), "
         "conditions=(((2, 2), 2), ((4, 4, 2, 2), 1)))"
     )
-    real.index_space  # cached in the instance's __dict__, outside the fields
+    real.index_space  # set once by __init__, outside the fields
     assert real == HalvingSpaceDescriptor.real_even_grassmannian(4, 8)
     assert hash(real) == hash(("real_even_flag", GrassmannianDescriptor(2, 4)))
     for record in (gr, fl, real):

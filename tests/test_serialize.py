@@ -1,13 +1,17 @@
+import json
+import pickle
 from fractions import Fraction
 
 import pytest
 
+from schubcalc.combination import COMPLEX
 from schubcalc.flag import FlagClass, FlagDescriptor
 from schubcalc.grassmann import GrassmannClass, GrassmannianDescriptor
 from schubcalc.halving import HalvingClass, HalvingSpaceDescriptor
 from schubcalc.schur import SchurExpansion
 from schubcalc.serialize import (
     ProblemSchemaError,
+    class_from_json,
     class_to_json,
     decimal_text,
     index_from_json,
@@ -39,6 +43,40 @@ def test_space_json_uses_ambient_dimensions():
     assert space_to_json(GR4R8) == {"type": "real_even_grassmannian", "k": 4, "n": 8}
     assert space_to_json(FL222R6) == {"type": "real_even_flag", "dims": [2, 2, 2]}
     assert space_to_json(OCT) == {"type": "octonionic_flag"}
+
+
+def test_space_json_text_keeps_its_key_order():
+    # reports echo these objects on stdout, so the key order is output too
+    texts = [
+        '{"type": "complex_grassmannian", "k": 2, "n": 4}',
+        '{"type": "complex_flag", "dims": [1, 1, 1]}',
+        '{"type": "real_even_grassmannian", "k": 4, "n": 8}',
+        '{"type": "real_even_flag", "dims": [2, 2, 2]}',
+        '{"type": "quaternionic_grassmannian", "k": 2, "n": 4}',
+        '{"type": "quaternionic_flag", "dims": [1, 1, 1]}',
+        '{"type": "octonionic_flag"}',
+    ]
+    assert [json.dumps(space_to_json(space)) for space in ALL_SPACES] == texts
+
+
+def test_every_space_states_kind_fixed_point_index_space_and_classes():
+    doubled = {GR4R8: GrassmannianDescriptor(4, 8), FL222R6: FlagDescriptor((2, 2, 2))}
+    for space in ALL_SPACES:
+        fp, ix = space.fixed_point, space.index_space
+        assert fp.kind == COMPLEX
+        assert not hasattr(space, "__dict__")
+        if space.kind == COMPLEX:
+            assert fp is space and ix is space
+        else:
+            assert ix == doubled.get(space, fp)
+        unit = class_from_json(space, class_to_json(space.classes.unit(space)))
+        assert type(unit) is space.classes
+        assert unit == space.classes.unit(space)
+    for space in (GR4R8, FL222R6, GR2H4, FLH, OCT):
+        twin = pickle.loads(pickle.dumps(space))
+        assert twin == space and twin.index_space == space.index_space
+        assert hash(twin) == hash((space.kind, space.fixed_point))
+        assert space._values() == (space.kind, space.fixed_point)
 
 
 @pytest.mark.parametrize(
