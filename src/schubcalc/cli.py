@@ -9,6 +9,7 @@ import argparse
 import json
 import sys
 import time
+from json.encoder import encode_basestring_ascii as _quote
 
 from . import halving
 from .errors import (
@@ -40,6 +41,7 @@ from .serialize import (
 EXIT_OK = 0
 EXIT_SCHEMA = 2
 EXIT_UNSOLVABLE = 3
+_INF = float("inf")
 
 
 def _load_json(text, what):
@@ -93,10 +95,68 @@ def _print_report(report, fmt, header=None):
     print(f"provenance: {report['provenance']}")
 
 
+def _json_text(value):
+    """The text of json.dumps(value, indent=2), for the dicts (with string
+    keys), lists, tuples, strings, numbers, booleans and None that a report
+    holds. json's indenting encoder is pure Python and nests generators;
+    this one appends one piece per member, so it is faster and needs one
+    frame per level of nesting."""
+    out = []
+    _put(value, "", "\n", out)
+    return "".join(out)
+
+
+def _put(x, head, nl, out):
+    """Append head and the text of x to out; nl starts x's own lines."""
+    if isinstance(x, str):
+        out.append(head + _quote(x))
+    elif isinstance(x, dict):
+        if not x:
+            out.append(head + "{}")
+            return
+        out.append(head + "{")
+        inner = nl + "  "
+        sep = inner
+        for k, v in x.items():
+            _put(v, sep + _quote(k) + ": ", inner, out)
+            sep = "," + inner
+        out.append(nl + "}")
+    elif isinstance(x, (list, tuple)):
+        if not x:
+            out.append(head + "[]")
+            return
+        out.append(head + "[")
+        inner = nl + "  "
+        sep = inner
+        for v in x:
+            _put(v, sep, inner, out)
+            sep = "," + inner
+        out.append(nl + "]")
+    elif x is None or x is True or x is False:
+        out.append(head + ("null" if x is None else "true" if x else "false"))
+    elif isinstance(x, int):
+        out.append(head + int.__repr__(x))
+    elif isinstance(x, float):
+        text = (
+            "NaN" if x != x
+            else "Infinity" if x == _INF
+            else "-Infinity" if x == -_INF
+            else float.__repr__(x)
+        )
+        out.append(head + text)
+    else:
+        raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
+
+
 def _emit(reports, fmt, batch):
     if fmt == "json":
-        payload = reports if batch else reports[0]
-        print(json.dumps(payload, indent=2))
+        # the reader's depth limit is not the writer's: on 3.12+ json.loads
+        # has a C recursion guard of its own, while _put spends Python frames
+        try:
+            text = _json_text(reports if batch else reports[0])
+        except RecursionError:
+            raise ProblemSchemaError("the report is nested too deeply to write") from None
+        print(text)
         return
     for i, report in enumerate(reports):
         if batch:

@@ -10,7 +10,10 @@ how two classes multiply; everything linear lives here once:
 - `_rank(key)` is the degree that orders terms for output;
 - `_scalars` are the coefficient types `*` scales by, `_zero` their zero;
 - `_symbol` names a basis class in `repr`;
-- `_product(other)` multiplies through the ring's module-level kernel.
+- `_product(other)` multiplies through the ring's module-level kernel;
+- `_product_within(other, top)` is the same product when only its terms
+  that can pair with the basis class keyed `top` are read: a Grassmannian
+  class builds only those, and the other types build the whole product.
 
 Every ring keys its unit class `()`: the empty partition, the identity
 permutation stripped of its fixed points, the constant monomial. The public
@@ -179,6 +182,11 @@ class SparseCombination:
 
     __rmul__ = __mul__
 
+    def _product_within(self, other, top):
+        """self * other, of which only the terms that pair with the basis
+        class keyed `top` will be read (all of them when top is None)."""
+        return self._product(other)
+
     def __pow__(self, m):
         if m < 0:
             raise ValueError("negative power")
@@ -206,13 +214,15 @@ class SparseCombination:
         return text if self.space is None else f"<{text} on {self.space}>"
 
 
-def multiply_copies(factors, product=None):
+def multiply_copies(factors, product=None, top=None):
     """`product` times c copies of each class a of the (a, c) in `factors`,
     one copy at a time and in order; a `product` of None starts from the
-    first copy, and stays None when there is none."""
+    first copy, and stays None when there is none. Every product is
+    `_product_within(a, top)`: with a basis key `top`, the caller reads
+    only what the product contributes to the pairing with s_top."""
     for a, c in factors:
         for _ in range(c):
-            product = a if product is None else product * a
+            product = a if product is None else product._product_within(a, top)
     return product
 
 
@@ -226,17 +236,29 @@ def intersection_number(factors):
     a, and Y = X times one more copy of each a of odd c, the count is
     <X, Y>, and the copies in X are multiplied once instead of twice. The
     split is taken when X carries at least a third of the dimension (its
-    degree is at least that of the odd copies); otherwise every copy is
-    multiplied and the coefficient of the point class, the dual of the
-    unit, is read. Copies are multiplied in the order of `factors`.
+    degree is at least that of the odd copies). Otherwise one copy of the
+    top condition, the first of highest degree, is left out, and the count
+    is <R, top> for R the product of every other copy: R's coefficient at
+    the dual key of top = s_u. Only the terms of R's products that can
+    still reach that key are needed (`_product_within(a, u)`; on a
+    Grassmannian, the shapes inside it); with nothing left, top's
+    point-class coefficient is read. Copies are multiplied in the order of
+    `factors`.
     """
     half = odd = 0
     for _, degree, c in factors:
         half += degree * (c // 2)
         odd += degree * (c % 2)
     if half < odd:
-        x = multiply_copies([(a, c) for a, _, c in factors])
-        return x.terms.get(x._dual_key(x.space, ()), 0)
+        j = max(range(len(factors)), key=lambda i: factors[i][1])
+        top = factors[j][0]
+        u = next(iter(top.terms)) if len(top.terms) == 1 else None
+        rest = multiply_copies(
+            [(a, c - (i == j)) for i, (a, _, c) in enumerate(factors)], top=u
+        )
+        if rest is None:
+            return top.terms.get(top._dual_key(top.space, ()), 0)
+        return _pair(rest, top)
     x = multiply_copies([(a, c // 2) for a, _, c in factors])
     return _pair(x, multiply_copies([(a, c % 2) for a, _, c in factors], x))
 

@@ -5,8 +5,9 @@ by partitions inside the k x (n-k) box. A product runs the LR strip pass
 once per term of one factor, seeded with the whole other class and capped
 at the box, so nothing that leaves the box is ever built; integration
 reads off the coefficient of the full-box (point) class. A count pairs
-half of its product with the rest through the rotated box complement
-(combination.intersection_number).
+half of its product with the rest through the rotated box complement, or
+reads a product bounded by the complement of its largest condition at
+that complement (combination.intersection_number).
 """
 
 from .combination import COMPLEX, Record, SparseCombination, intersection_number
@@ -69,6 +70,13 @@ class GrassmannClass(SparseCombination):
 
     def _product(self, other):
         return gr_multiply(self, other)
+
+    def _product_within(self, other, top):
+        # only top's dual pairs with s_top, and a product of a shape that
+        # does not fit inside the dual never fits inside it
+        self._check_space(other)
+        within = None if top is None else self._dual_key(self.space, top)
+        return GrassmannClass._make(self.space, _lr_product(self, other, within))
 
 
 def gr_multiply(a, b):

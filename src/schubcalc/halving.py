@@ -39,10 +39,14 @@ Every count, complex, quaternionic or a real bound after halving, is such
 an intersection number on a complex space, and `_multiply_conditions`
 reads it by Poincare duality: the product X of half of each condition's
 copies is paired with X times the copies left over, <X, X L>, so the
-copies in X are multiplied once (combination.intersection_number). The
-pairing needs each complex class type's dual key: the rotated box
-complement on a Grassmannian, w0 u w0^P on a flag. A class is the product
-of every copy in input order.
+copies in X are multiplied once (combination.intersection_number). When
+X would carry less than a third of the dimension, one copy of the first
+condition of highest degree, s_u, is left out instead, and the product R
+of every other copy is read at the dual key u*: on a Grassmannian every
+product of R keeps only the shapes inside u*. The pairing needs each
+complex class type's dual key: the rotated box complement on a
+Grassmannian, w0 u w0^P on a flag. A class is the product of every copy
+in input order.
 """
 
 from fractions import Fraction
@@ -312,8 +316,10 @@ def _multiply_conditions(space, conditions, count_mode):
     of combination.intersection_number: X holds half of each condition's
     copies (count // 2 of them) and L one more copy of each condition of
     odd count, so X is multiplied once and used twice. It splits only when
-    X carries at least a third of the dimension, and otherwise multiplies
-    every copy as a class does and reads the point-class coefficient.
+    X carries at least a third of the dimension. Otherwise it leaves out
+    one copy of the first condition of highest degree, s_u, multiplies
+    every other copy in input order, bounded by the dual key u* on a
+    Grassmannian, and reads the coefficient at u*.
     """
     fp = space.fixed_point
     ring = fp.classes

@@ -179,28 +179,35 @@ def _strip_pass(seeds, mu, caps, fill):
     return layer
 
 
-def _lr_product(a, b):
-    """{nu: coefficient} of the product of two Schur-basis classes.
+def _lr_product(a, b, within=None):
+    """{nu: coefficient} of the product of two Schur-basis classes, or of
+    its terms inside the partition `within` when one is given.
 
     No nu in s_lam * s_mu is wider than lam_1 + mu_1 or longer than
     len(lam) + len(mu), so the caps come from the factors, clipped to the
-    box of a Grassmannian space.  One strip pass per term mu of the cheaper
-    factor (fewer terms, then lower degree), seeded with every term of the
-    other scaled by mu's coefficient, so partial tableaux merge across terms.
+    box of a Grassmannian space; `within` is the caps when it is given, and
+    seeds not inside it are dropped, since nu contains lam.  One strip pass
+    per term mu of the cheaper factor (fewer terms, then lower degree),
+    seeded with every term of the other scaled by mu's coefficient, so
+    partial tableaux merge across terms.
     """
-    ta, tb = a.terms, b.terms
-    if not ta or not tb:
+    if not a.terms or not b.terms:
         return {}
-    width = sum(max(ta)[:1]) + sum(max(tb)[:1])  # the largest key is widest
-    height = max(map(len, ta)) + max(map(len, tb))
-    if a.space is not None:  # a SchurExpansion has no box
-        width, height = min(width, a.space.l), min(height, a.space.k)
-    caps = (width,) * height
     if a._cheaper_than(b):
         a, b = b, a
+    ta, tb = a.terms, b.terms
+    if within is None:
+        width = sum(max(ta)[:1]) + sum(max(tb)[:1])  # the largest key is widest
+        height = max(map(len, ta)) + max(map(len, tb))
+        if a.space is not None:  # a SchurExpansion has no box
+            width, height = min(width, a.space.l), min(height, a.space.k)
+        caps = (width,) * height
+    else:
+        caps = within
+        ta = {lam: c for lam, c in ta.items() if partition_contains(within, lam)}
     out = {}
-    for mu, c in b.terms.items():
-        seeds = {lam: c * ca for lam, ca in a.terms.items()}
+    for mu, c in tb.items():
+        seeds = {lam: c * ca for lam, ca in ta.items()}
         for nu, m in _strip_pass(seeds, mu, caps, False).items():
             out[nu] = out.get(nu, 0) + m
     return out

@@ -67,33 +67,33 @@ def space_to_json(space):
     return {"type": f"{family}_flag", "dims": list(ix.dims)}
 
 
-def _require(cond, message):
-    if not cond:
-        raise ProblemSchemaError(message)
-
-
 def _int_field(obj, key, minimum=1):
-    _require(key in obj, f"space object is missing {key!r}")
+    if key not in obj:
+        raise ProblemSchemaError(f"space object is missing {key!r}")
     v = obj[key]
-    _require(isinstance(v, int) and not isinstance(v, bool), f"{key!r} must be an integer")
-    _require(v >= minimum, f"{key!r} must be at least {minimum}")
+    if not isinstance(v, int) or isinstance(v, bool):
+        raise ProblemSchemaError(f"{key!r} must be an integer")
+    if v < minimum:
+        raise ProblemSchemaError(f"{key!r} must be at least {minimum}")
     return v
 
 
 def _dims_field(obj):
-    _require("dims" in obj, "space object is missing 'dims'")
+    if "dims" not in obj:
+        raise ProblemSchemaError("space object is missing 'dims'")
     dims = obj["dims"]
-    _require(
+    if not (
         isinstance(dims, list)
         and dims
-        and all(isinstance(d, int) and not isinstance(d, bool) and d >= 1 for d in dims),
-        "'dims' must be a nonempty list of positive integers",
-    )
+        and all(isinstance(d, int) and not isinstance(d, bool) and d >= 1 for d in dims)
+    ):
+        raise ProblemSchemaError("'dims' must be a nonempty list of positive integers")
     return tuple(dims)
 
 
 def space_from_json(obj):
-    _require(isinstance(obj, dict), "space must be a JSON object")
+    if not isinstance(obj, dict):
+        raise ProblemSchemaError("space must be a JSON object")
     kind = obj.get("type")
     try:
         if kind == "complex_grassmannian":
@@ -120,11 +120,11 @@ def space_from_json(obj):
 
 
 def _int_list(raw, what):
-    _require(
+    if not (
         isinstance(raw, list)
-        and all(isinstance(v, int) and not isinstance(v, bool) for v in raw),
-        f"{what} must be a list of integers",
-    )
+        and all(isinstance(v, int) and not isinstance(v, bool) for v in raw)
+    ):
+        raise ProblemSchemaError(f"{what} must be a list of integers")
     return tuple(raw)
 
 
@@ -262,66 +262,68 @@ _MODES = {
 
 
 def parse_problem(obj, mode_override=None):
-    _require(isinstance(obj, dict), "a problem must be a JSON object")
-    _require("space" in obj, "a problem needs a 'space'")
+    if not isinstance(obj, dict):
+        raise ProblemSchemaError("a problem must be a JSON object")
+    if "space" not in obj:
+        raise ProblemSchemaError("a problem needs a 'space'")
     space = space_from_json(obj["space"])
     kind = space.kind
 
     # --mode replaces the file's mode unread
     mode = mode_override or obj.get("mode", _MODES[kind][0])
-    _require(isinstance(mode, str), f"'mode' must be a string from {_MODES[kind]}")
-    _require(
-        mode in _MODES[kind],
-        f"mode {mode!r} is not available on {space} (choose from {_MODES[kind]})",
-    )
+    if not isinstance(mode, str):
+        raise ProblemSchemaError(f"'mode' must be a string from {_MODES[kind]}")
+    if mode not in _MODES[kind]:
+        raise ProblemSchemaError(
+            f"mode {mode!r} is not available on {space} (choose from {_MODES[kind]})"
+        )
 
     raw_conditions = obj.get("conditions")
-    _require(
-        isinstance(raw_conditions, list) and raw_conditions,
-        "a problem needs a nonempty 'conditions' list",
-    )
+    if not (isinstance(raw_conditions, list) and raw_conditions):
+        raise ProblemSchemaError("a problem needs a nonempty 'conditions' list")
 
     conditions = []
     degeneracy = None
     for pos, entry in enumerate(raw_conditions, start=1):
-        _require(isinstance(entry, dict), f"condition {pos} must be an object")
+        if not isinstance(entry, dict):
+            raise ProblemSchemaError(f"condition {pos} must be an object")
         count = entry.get("count", 1)
-        _require(
-            isinstance(count, int) and not isinstance(count, bool) and count >= 1,
-            f"condition {pos}: 'count' must be a positive integer",
-        )
+        if not (isinstance(count, int) and not isinstance(count, bool) and count >= 1):
+            raise ProblemSchemaError(
+                f"condition {pos}: 'count' must be a positive integer"
+            )
         has_index = "index" in entry
         has_corank = "corank" in entry
-        _require(
-            has_index != has_corank,
-            f"condition {pos} needs exactly one of 'index' or 'corank'",
-        )
+        if has_index == has_corank:
+            raise ProblemSchemaError(
+                f"condition {pos} needs exactly one of 'index' or 'corank'"
+            )
         if has_corank:
-            _require(
-                kind == REAL_EVEN and space.grassmannian_fixed_point,
-                f"condition {pos}: corank conditions need a real even Grassmannian",
-            )
-            _require(
-                degeneracy is None,
-                f"condition {pos}: only one corank condition is supported",
-            )
+            if not (kind == REAL_EVEN and space.grassmannian_fixed_point):
+                raise ProblemSchemaError(
+                    f"condition {pos}: corank conditions need a real even Grassmannian"
+                )
+            if degeneracy is not None:
+                raise ProblemSchemaError(
+                    f"condition {pos}: only one corank condition is supported"
+                )
             corank = entry["corank"]
-            _require(
-                isinstance(corank, int) and corank >= 2 and corank % 2 == 0,
-                f"condition {pos}: 'corank' must be a positive even integer",
-            )
+            if not (isinstance(corank, int) and corank >= 2 and corank % 2 == 0):
+                raise ProblemSchemaError(
+                    f"condition {pos}: 'corank' must be a positive even integer"
+                )
             fp = space.fixed_point
-            _require(
-                corank // 2 <= fp.k,
-                f"condition {pos}: corank {corank} exceeds the bundle rank "
-                f"{2 * fp.k} of {space}",
-            )
+            if corank // 2 > fp.k:
+                raise ProblemSchemaError(
+                    f"condition {pos}: corank {corank} exceeds the bundle rank "
+                    f"{2 * fp.k} of {space}"
+                )
             rho = fp.k - corank // 2
-            _require(
-                rho <= fp.l,
-                f"condition {pos}: corank {corank} leaves rank {2 * rho}, above "
-                f"n-k = {2 * fp.l} on {space}",
-            )
+            if rho > fp.l:
+                raise ProblemSchemaError(
+                    f"condition {pos}: corank {corank} leaves rank {2 * rho}, above "
+                    f"n-k = {2 * fp.l} on {space}"
+                )
             degeneracy = (corank, count)
         else:
             try:
@@ -330,14 +332,13 @@ def parse_problem(obj, mode_override=None):
                 raise ProblemSchemaError(f"condition {pos}: {exc}") from None
             conditions.append((index, count))
 
-    _require(
-        not (degeneracy and conditions),
-        "corank and index conditions cannot be mixed in one problem",
-    )
+    if degeneracy and conditions:
+        raise ProblemSchemaError(
+            "corank and index conditions cannot be mixed in one problem"
+        )
 
-    _require(
-        isinstance(obj.get("description", ""), str), "'description' must be a string"
-    )
+    if not isinstance(obj.get("description", ""), str):
+        raise ProblemSchemaError("'description' must be a string")
     return ParsedProblem(
         raw=obj,
         space=space,

@@ -4,19 +4,21 @@ import os
 import subprocess
 import sys
 import time
+from concurrent.futures import ThreadPoolExecutor
 from importlib.metadata import EntryPoint
 from pathlib import Path
 
 import pytest
 
 import schubcalc
+import schubcalc.cli as cli
 import schubcalc.grassmann
 import schubcalc.halving
 import schubcalc.schur
 from schubcalc.cli import main
 from schubcalc.errors import DegreeOutOfRange
 from schubcalc.selftest import run_selftest
-from schubcalc.serialize import parse_problem
+from schubcalc.serialize import ProblemSchemaError, parse_problem
 
 GR24 = {"type": "complex_grassmannian", "k": 2, "n": 4}
 GR36 = {"type": "complex_grassmannian", "k": 3, "n": 6}
@@ -201,6 +203,62 @@ def test_json_nested_past_the_recursion_limit_exits_two(capsys, tmp_path):
     code, out, err = run_cli(capsys, ["lr", deep, "[1]", "[1]"])
     assert (code, out) == (2, ""), err
     assert "error: lam is not valid JSON: nested too deeply" in err
+
+
+def deep_echo_run(depth, leaf, batch):
+    """`python -m schubcalc solve` on a problem whose unknown key nests the
+    JSON text `leaf` in `depth` lists; the report nests the echo one level
+    (two in a batch) deeper than the file does."""
+    entry = problem(GR24, [{"index": [1], "count": 4}])
+    text = json.dumps(entry)[:-1] + ', "extra": ' + "[" * depth + leaf + "]" * depth + "}"
+    if batch:
+        text = f"[{text}]"
+    return subprocess.run(
+        [sys.executable, "-m", "schubcalc", "solve", "--input", "-"],
+        input=text, capture_output=True, text=True, timeout=60,
+    )
+
+
+def test_deep_echoes_end_in_exit_zero_or_two():
+    # whatever nesting the reader takes, the run ends in exit 0 with the
+    # bytes of json.dumps(indent=2), or in exit 2, never in a traceback.
+    # Depth 980 is well inside every reader; at 986-987 the 3.11 reader
+    # still takes the file while json.dumps(indent=2) ran out of frames
+    runs = [
+        (depth, leaf, batch)
+        for leaf in ("1.5", '{"a": 1.5}', "[1]")
+        for batch in (False, True)
+        for depth in (980, 986, 987)
+    ]
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        procs = list(pool.map(lambda run: deep_echo_run(*run), runs))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(10000)
+    try:
+        for run, proc in zip(runs, procs):
+            assert proc.returncode in (0, 2), (run, proc.stderr)
+            if proc.returncode == 2:
+                assert proc.stdout == "", run
+                assert "nested too deeply" in proc.stderr, run
+                continue
+            report = json.loads(proc.stdout)
+            assert proc.stdout == json.dumps(report, indent=2) + "\n", run
+            assert (report[0] if run[2] else report)["result"] == 2, run
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+def test_a_report_past_the_recursion_limit_exits_two(capsys):
+    # the reader and the writer need not share one depth limit (3.12+
+    # json.loads has a C guard of its own), so a report the writer cannot
+    # nest is refused before anything is printed
+    echo = 1.5
+    for _ in range(sys.getrecursionlimit() + 10):
+        echo = [echo]
+    report = cli._report(echo, "2", "read")
+    with pytest.raises(ProblemSchemaError, match="nested too deeply"):
+        cli._emit([report], "json", batch=False)
+    assert capsys.readouterr().out == ""
 
 
 def test_coefficients_past_the_str_digit_limit_are_written_exactly(capsys):

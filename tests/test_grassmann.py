@@ -27,8 +27,8 @@ from schubcalc.grassmann import (
     tautological_chern_difference,
     thom_porteous,
 )
-from schubcalc.indexing import partition_size
-from schubcalc.schur import ring_determinant
+from schubcalc.indexing import partition_contains, partition_size
+from schubcalc.schur import _lr_product, ring_determinant
 from schubcalc.selftest import partitions_in_box
 
 GR24 = GrassmannianDescriptor(2, 4)
@@ -103,6 +103,27 @@ def test_class_seeded_product_matches_the_pairwise_oracle():
     assert (basis(GR36, 2) - basis(GR36, 1, 1)) * basis(GR36, 1) == (
         basis(GR36, 3) - basis(GR36, 1, 1, 1)
     )
+
+
+def test_a_bounded_product_is_the_full_product_inside_its_bound():
+    # _lr_product(a, b, within) keeps the terms of a * b inside within, on
+    # signed classes in several boxes; within runs over every shape of the
+    # box, the empty one and the full box among them, and the class's
+    # _product_within(b, top) bounds by the dual of top
+    rng = random.Random(23)
+    for space in (GR24, GR25, GR36, GrassmannianDescriptor(3, 7)):
+        shapes = list(partitions_in_box(space.k, space.l))
+        for _ in range(12):
+            a = signed_class(space, rng, rng.randint(1, 5))
+            b = signed_class(space, rng, rng.randint(1, 5))
+            full = gr_multiply_by_pairs(a, b).terms
+            assert b._product_within(a, None).terms == full, (a, b)
+            for within in shapes:
+                want = {nu: c for nu, c in full.items() if partition_contains(within, nu)}
+                got = {nu: c for nu, c in _lr_product(a, b, within).items() if c}
+                assert got == want, (a, b, within)
+                top = GrassmannClass._dual_key(space, within)
+                assert b._product_within(a, top).terms == want, (a, b, within)
 
 
 def test_space_mismatch():

@@ -13,6 +13,7 @@ from itertools import permutations
 import pytest
 
 import schubcalc.combination as combination
+import schubcalc.grassmann as grassmann
 from schubcalc.flag import FlagClass, FlagDescriptor, flag_integrate
 from schubcalc.grassmann import (
     GrassmannClass,
@@ -184,15 +185,19 @@ def test_degeneracy_count_matches_the_forward_power(space, e, f, rho, m):
     assert degeneracy_count(space, e, f, rho, m) == count
 
 
+def degrees(x, y):
+    return tuple(max(map(c._rank, c.terms), default=0) for c in (x, y))
+
+
 def test_the_split_takes_a_third_of_the_dimension(monkeypatch):
     # a split pairs X of degree deg X with Y = X L; below a third of the
-    # dimension (deg X < deg L) nothing is paired and the forward product's
-    # point class is read
+    # dimension (deg X < deg L) one copy of the first condition of highest
+    # degree is left out, and the rest R is paired with it
     seen = []
     pair = combination._pair
 
     def spy(x, y):
-        seen.append(tuple(max(map(c._rank, c.terms), default=0) for c in (x, y)))
+        seen.append(degrees(x, y))
         return pair(x, y)
 
     monkeypatch.setattr(combination, "_pair", spy)
@@ -201,15 +206,67 @@ def test_the_split_takes_a_third_of_the_dimension(monkeypatch):
     cases = [
         (gr36, [((1,), 9)], [(4, 5)]),  # X = s1^4, L = s1
         (gr36, [((2,), 2), ((1,), 3), ((1, 1), 1)], [(3, 6)]),  # deg X = deg L
-        (gr24, [((1,), 2), ((2,), 1)], []),  # deg X 1 = deg L - 1: forward
-        (gr36, [((1,), 4), ((1, 1), 1), ((3,), 1)], []),  # deg X 2 < deg L 5
-        (gr36, [((3,), 1), ((3,), 1), ((1,), 3)], []),  # deg X 1 < deg L 7
+        (gr24, [((1,), 2), ((2,), 1)], [(2, 2)]),  # deg X 1 < deg L 2: R = s1^2
+        (gr36, [((1,), 4), ((1, 1), 1), ((3,), 1)], [(6, 3)]),  # deg X 2 < deg L 5
+        (gr36, [((3,), 1), ((3,), 1), ((1,), 3)], [(6, 3)]),  # deg X 1 < deg L 7
         (gr36, [((2, 2), 2), ((1,), 1)], [(4, 5)]),  # all but one copy even
+        (gr36, [((3, 3, 3), 1)], []),  # one copy: its own point coefficient
     ]
     for space, conditions, pairs in cases:
         seen.clear()
         assert _multiply_conditions(space, conditions, True) == forward_count(space, conditions)
         assert seen == pairs, conditions
+
+
+@pytest.mark.parametrize(
+    "space, conditions",
+    [
+        (GrassmannianDescriptor(3, 6), [((3,), 1), ((1,), 3), ((2, 1), 1)]),
+        (GrassmannianDescriptor(3, 7), [((3,), 1), ((2, 1), 3)]),
+        (GrassmannianDescriptor(3, 7), [((3,), 3), ((1, 1, 1), 1)]),
+        (FlagDescriptor((2, 1, 2)), [((2, 4, 1, 3), 1), ((2, 3, 4, 1), 1), ((1, 3, 4, 2), 1)]),
+    ],
+    ids=str,
+)
+def test_an_unsplit_count_leaves_out_the_first_copy_of_highest_degree(
+    monkeypatch, space, conditions
+):
+    cls = ring(space)[0]
+    seen, tops, bounds = [], set(), set()
+    pair = combination._pair
+
+    def pair_spy(x, y):
+        seen.append((x, y))
+        return pair(x, y)
+
+    product = cls._product_within
+
+    def product_spy(self, other, top):
+        tops.add(top)
+        return product(self, other, top)
+
+    lr_product = grassmann._lr_product
+
+    def lr_spy(a, b, within=None):
+        bounds.add(within)
+        return lr_product(a, b, within)
+
+    monkeypatch.setattr(combination, "_pair", pair_spy)
+    monkeypatch.setattr(cls, "_product_within", product_spy)
+    monkeypatch.setattr(grassmann, "_lr_product", lr_spy)
+    for order in permutations(conditions):
+        expected = forward_count(space, order)
+        seen.clear()
+        tops.clear()
+        bounds.clear()
+        assert _multiply_conditions(space, order, True) == expected != 0
+        top = max(order, key=lambda kc: cls._rank(kc[0]))[0]
+        (rest, y), = seen
+        assert y.terms == {top: 1}, order
+        assert degrees(rest, y) == (space.complex_dimension - cls._rank(top), cls._rank(top))
+        assert tops == {top}, order
+        if cls is GrassmannClass:  # its products build only the shapes inside top's dual
+            assert bounds == {cls._dual_key(space, top)}, order
 
 
 def record_twin(record):
