@@ -27,7 +27,7 @@ written in `serialize` alone.
 
 from itertools import groupby
 
-from .combination import COMPLEX, Record, SparseCombination
+from .combination import COMPLEX, Record, SparseCombination, decimal_text
 from .indexing import (
     is_minimal_rep,
     normalize_perm,
@@ -71,14 +71,14 @@ class FlagDescriptor(Record):
         return tuple(out)
 
     def __str__(self):
-        return f"Fl{_dims_text(self.dims)}(C^{self.n})"
+        return f"Fl{_dims_text(self.dims)}(C^{decimal_text(self.n)})"
 
 
 def _dims_text(dims):
     """dims with each run of m > 1 equal blocks d written d^m, so that it
     does not grow with n: (1, 1, 1, 2) -> "(1^3, 2)"."""
-    runs = ((d, sum(1 for _ in run)) for d, run in groupby(dims))
-    return "(" + ", ".join(f"{d}^{m}" if m > 1 else f"{d}" for d, m in runs) + ")"
+    runs = ((decimal_text(d), sum(1 for _ in run)) for d, run in groupby(dims))
+    return "(" + ", ".join(f"{d}^{m}" if m > 1 else d for d, m in runs) + ")"
 
 
 class FlagClass(SparseCombination):

@@ -10,7 +10,7 @@ reads a product bounded by the complement of its largest condition at
 that complement (combination.intersection_number).
 """
 
-from .combination import COMPLEX, Record, SparseCombination, intersection_number
+from .combination import COMPLEX, Record, SparseCombination, decimal_text, intersection_number
 from .errors import (
     BoxOverflow,
     DegreeOutOfRange,
@@ -43,7 +43,7 @@ class GrassmannianDescriptor(Record):
         return self.k * self.l
 
     def __str__(self):
-        return f"Gr({self.k}, C^{self.n})"
+        return f"Gr({decimal_text(self.k)}, C^{decimal_text(self.n)})"
 
 
 class GrassmannClass(SparseCombination):
@@ -225,8 +225,8 @@ def degeneracy_count_and_locus(space, e, f, rho, m):
         return gr_integrate(unit), unit
     if m * codim != space.complex_dimension:
         raise DimensionMismatch(
-            f"{m} conditions of codimension {codim} do not fill "
-            f"dim {space.complex_dimension} of {space}"
+            f"{decimal_text(m)} conditions of codimension {decimal_text(codim)} "
+            f"do not fill dim {decimal_text(space.complex_dimension)} of {space}"
         )
     series = tautological_chern_difference(space, e + f - 2 * rho - 1)
     locus = thom_porteous(e, f, rho, series)

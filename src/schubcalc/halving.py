@@ -14,15 +14,19 @@ testing its type: its `kind` (COMPLEX, REAL_EVEN, QUATERNIONIC or
 OCTONIONIC), its `fixed_point`, the complex space that carries the halved
 ring, its `index_space`, whose Schubert labels key its classes, and
 `classes`, its class type. A complex Grassmannian or flag manifold is its
-own fixed point and index space, so `_multiply_conditions` multiplies in
-`space.fixed_point.classes` on every space. The index space of a real even
-space is the doubled space Gr(2k, C^2n) or Fl_2D(C^2n), that of the others
-their fixed point. Keys are stored as the complex class there stores them,
+own fixed point and index space. The index space of a real even space is
+the doubled space Gr(2k, C^2n) or Fl_2D(C^2n), that of the others their
+fixed point. Keys are stored as the complex class there stores them,
 partitions in the box or minimal coset representatives without trailing
 fixed points (a doubled key strips whole pairs, so it still halves). JSON
 indices, ordered set partitions among them, are read by
-`serialize.index_from_json`, Python ones by `_index_key`; `solve` trusts the
-keys it is given.
+`serialize.index_from_json`, Python ones by `_index_key`. Every index
+problem, on any space, then reaches the complex ring by one call of
+`_multiply_conditions`, which halves each stored key onto the fixed point
+(`_halve` keeps every key but a real even one) and multiplies in
+`space.fixed_point.classes`; `solve` trusts the keys it is given. A corank
+condition is checked by one rule, `_corank_rank`, for problem files and
+for `real_degeneracy_lower_bound` alike.
 
 Why this yields lower bounds: for a zero-dimensional real intersection
 problem with doubled conditions, each solution carries a sign, and the
@@ -155,8 +159,8 @@ class HalvingSpaceDescriptor(Record):
         ix = self.index_space
         field = "H" if self.kind == QUATERNIONIC else "R"
         if self.grassmannian_fixed_point:
-            return f"Gr({ix.k}, {field}^{ix.n})"
-        return f"Fl{_dims_text(ix.dims)}({field}^{ix.n})"
+            return f"Gr({decimal_text(ix.k)}, {field}^{decimal_text(ix.n)})"
+        return f"Fl{_dims_text(ix.dims)}({field}^{decimal_text(ix.n)})"
 
 
 def _index_key(space, index):
@@ -300,16 +304,16 @@ class SchubertProblem(Record):
 
 
 def _multiply_conditions(space, conditions, count_mode):
-    """Multiply complex basis classes with multiplicities, degree checked first.
+    """Multiply the conditions of a problem on any space, degree checked first.
 
-    `conditions` are (complex key, count) pairs on `space.fixed_point`,
-    multiplied there in `space.fixed_point.classes`; a complex space is its
-    own fixed point, and real even conditions arrive halved. The total
-    degree is checked before anything is multiplied: in count mode it must
-    equal the dimension and the point-class coefficient is returned; in
-    class mode the product class is returned, and a degree above the
-    dimension gives the zero class at once. Degree-0 conditions are the unit
-    and are skipped. A mismatch message names its terms by `space.kind`.
+    `conditions` are (stored key, count) pairs; each key is halved onto
+    `space.fixed_point` (`_halve`, naming its condition if it is not a
+    double) and multiplied in `space.fixed_point.classes`. The total degree
+    is checked before anything is multiplied: in count mode it must equal
+    the dimension and the point-class coefficient is returned; in class
+    mode the product class is returned, and a degree above the dimension
+    gives the zero class at once. Degree-0 conditions are the unit and are
+    skipped. A mismatch message names its terms by `space.kind`.
 
     A class is the product of every copy of every condition, in input
     order, starting from the first copy. A count is the pairing <X, X L>
@@ -324,7 +328,11 @@ def _multiply_conditions(space, conditions, count_mode):
     fp = space.fixed_point
     ring = fp.classes
     factors, total = [], 0
-    for key, count in conditions:
+    for pos, (index, count) in enumerate(conditions, start=1):
+        try:
+            key = _halve(space, index)
+        except NotADoubleIndex as exc:
+            raise NotADoubleIndex(f"condition {pos}: {exc}") from None
         degree = ring._rank(key)
         if degree:
             factors.append((ring._make(fp, {key: 1}), degree, count))
@@ -334,7 +342,7 @@ def _multiply_conditions(space, conditions, count_mode):
         what = "halved conditions" if space.kind == REAL_EVEN else "conditions"
         name = "dimension" if space.kind == COMPLEX else "fixed-point dimension"
         raise DimensionMismatch(
-            f"{what} fill degree {total}, but {space} has {name} {dim}"
+            f"{what} fill degree {decimal_text(total)}, but {space} has {name} {decimal_text(dim)}"
         )
     if count_mode:
         # with no factor the space is a point, its own point class
@@ -343,18 +351,6 @@ def _multiply_conditions(space, conditions, count_mode):
         return ring.zero(fp)
     product = multiply_copies([(a, c) for a, _, c in factors])
     return ring.unit(fp) if product is None else product
-
-
-def _halved(problem):
-    """The (complex key, count) pairs of a SchubertProblem or ParsedProblem."""
-    space = problem.space
-    halved = []
-    for pos, (index, count) in enumerate(problem.conditions, start=1):
-        try:
-            halved.append((_halve(space, index), count))
-        except NotADoubleIndex as exc:
-            raise NotADoubleIndex(f"condition {pos}: {exc}") from None
-    return halved
 
 
 def real_lower_bound(problem):
@@ -368,7 +364,7 @@ def real_lower_bound(problem):
     space = problem.space
     if space.kind != REAL_EVEN:
         raise ValueError(f"real lower bounds need a real even space, not {space}")
-    return _multiply_conditions(space, _halved(problem), True)
+    return _multiply_conditions(space, problem.conditions, True)
 
 
 def quaternionic_count(problem):
@@ -381,7 +377,25 @@ def quaternionic_count(problem):
     space = problem.space
     if space.kind != QUATERNIONIC:
         raise ValueError(f"quaternionic counts need a quaternionic space, not {space}")
-    return _multiply_conditions(space, _halved(problem), True)
+    return _multiply_conditions(space, problem.conditions, True)
+
+
+def _corank_rank(space, corank):
+    """The rank rho on the fixed point Gr(k, C^n) that a corank condition
+    leaves, 0 <= rho = k - corank/2 <= n - k; ValueError names a rule it breaks."""
+    if space.kind != REAL_EVEN or not space.grassmannian_fixed_point:
+        raise ValueError("corank conditions need a real even Grassmannian")
+    if not (isinstance(corank, int) and corank >= 2 and corank % 2 == 0):
+        raise ValueError("'corank' must be a positive even integer")
+    fp = space.fixed_point
+    rho = fp.k - corank // 2
+    if rho < 0:
+        raise ValueError(f"corank {corank} exceeds the bundle rank {2 * fp.k} of {space}")
+    if rho > fp.l:
+        raise ValueError(
+            f"corank {corank} leaves rank {2 * rho}, above n-k = {2 * fp.l} on {space}"
+        )
+    return rho
 
 
 def real_degeneracy_lower_bound(space, maps, corank=2):
@@ -391,16 +405,11 @@ def real_degeneracy_lower_bound(space, maps, corank=2):
     drops rank by the given (even) corank; halving turns this into the
     complex locus of half the corank for the tautological map on the
     fixed-point Grassmannian, whose class is a determinant in the Chern
-    series of the bundle difference.
+    series of the bundle difference. The corank passes the rule problem
+    files are read by (`_corank_rank`) before anything is counted.
     """
-    if space.kind != REAL_EVEN or not space.grassmannian_fixed_point:
-        raise ValueError("degeneracy bounds need a real even Grassmannian")
-    if corank < 2 or corank % 2:
-        raise ValueError(f"corank must be a positive even number, got {corank}")
+    rho = _corank_rank(space, corank)
     fp = space.fixed_point
-    rho = fp.k - corank // 2
-    if rho < 0:
-        raise ValueError(f"corank {corank} exceeds the bundle rank of {space}")
     return degeneracy_count(fp, fp.k, fp.l, rho, maps)
 
 
@@ -440,25 +449,14 @@ def solve(parsed):
     """Solve one parsed problem (see `serialize.parse_problem`).
 
     Returns (value, provenance): the count or lower bound as an integer, or
-    the product class in class mode. Complex conditions are multiplied in
-    their own ring; real even conditions are halved, and quaternionic and
-    octonionic ones kept, before they reach the fixed-point ring (the
-    octonionic flag's, through its quaternionic (1,1,1) carrier, is
-    Fl(C^3)). The condition indices are stored keys, already checked.
+    the product class in class mode. A corank problem is a rank-drop bound;
+    every index problem, on any space, is one `_multiply_conditions` call
+    on the stored keys, which are already checked.
     """
     space = parsed.space
-    if space.kind == COMPLEX:
-        count_mode = parsed.mode == "count"
-        value = _multiply_conditions(space, parsed.conditions, count_mode)
-        return value, _PROVENANCE[parsed.mode]
     if parsed.degeneracy is not None:
         corank, count = parsed.degeneracy
         value = real_degeneracy_lower_bound(space, count, corank=corank)
         return value, _PROVENANCE["corank"]
-    if space.kind == REAL_EVEN:
-        value = real_lower_bound(parsed)
-    elif space.kind == QUATERNIONIC:
-        value = quaternionic_count(parsed)
-    else:
-        value = _multiply_conditions(space, _halved(parsed), True)
-    return value, _PROVENANCE[space.kind]
+    value = _multiply_conditions(space, parsed.conditions, parsed.mode != "class")
+    return value, _PROVENANCE[parsed.mode if space.kind == COMPLEX else space.kind]

@@ -31,6 +31,7 @@ from .halving import (
     QUATERNIONIC,
     REAL_EVEN,
     HalvingSpaceDescriptor,
+    _corank_rank,
 )
 from .indexing import (
     normalize_osp,
@@ -299,31 +300,15 @@ def parse_problem(obj, mode_override=None):
                 f"condition {pos} needs exactly one of 'index' or 'corank'"
             )
         if has_corank:
-            if not (kind == REAL_EVEN and space.grassmannian_fixed_point):
-                raise ProblemSchemaError(
-                    f"condition {pos}: corank conditions need a real even Grassmannian"
-                )
             if degeneracy is not None:
                 raise ProblemSchemaError(
                     f"condition {pos}: only one corank condition is supported"
                 )
             corank = entry["corank"]
-            if not (isinstance(corank, int) and corank >= 2 and corank % 2 == 0):
-                raise ProblemSchemaError(
-                    f"condition {pos}: 'corank' must be a positive even integer"
-                )
-            fp = space.fixed_point
-            if corank // 2 > fp.k:
-                raise ProblemSchemaError(
-                    f"condition {pos}: corank {corank} exceeds the bundle rank "
-                    f"{2 * fp.k} of {space}"
-                )
-            rho = fp.k - corank // 2
-            if rho > fp.l:
-                raise ProblemSchemaError(
-                    f"condition {pos}: corank {corank} leaves rank {2 * rho}, above "
-                    f"n-k = {2 * fp.l} on {space}"
-                )
+            try:
+                _corank_rank(space, corank)
+            except ValueError as exc:
+                raise ProblemSchemaError(f"condition {pos}: {exc}") from None
             degeneracy = (corank, count)
         else:
             try:

@@ -463,6 +463,37 @@ def test_giambelli_on_a_huge_grassmannian():
     assert "result: s[1]" in proc.stdout.splitlines()
 
 
+def test_integers_past_the_str_digit_limit_in_messages(tmp_path):
+    # str() of an int refuses more than 4300 digits on 3.11+; every message
+    # that names a space, a degree or a dimension writes it with
+    # decimal_text, so these end in a named diagnostic, not a traceback
+    t = 10 ** 3000
+    huge = [9 * 10 ** 4299] * 10  # each block fits, n does not
+    solves = [
+        ({"type": "complex_grassmannian", "k": t, "n": 2 * t}, {"index": [1]}, 3),
+        ({"type": "quaternionic_grassmannian", "k": t, "n": 2 * t}, {"index": [1]}, 3),
+        ({"type": "real_even_grassmannian", "k": 2 * t, "n": 4 * t}, {"index": [2, 2]}, 3),
+        ({"type": "complex_grassmannian", "k": 1, "n": 10 ** 2001},
+         {"index": [10 ** 2000], "count": 10 ** 2500}, 3),
+        ({"type": "real_even_grassmannian", "k": 2 * t, "n": 4 * t},
+         {"corank": 2, "count": 3}, 3),
+        ({"type": "complex_flag", "dims": huge}, {"index": [1]}, 3),
+        ({"type": "quaternionic_flag", "dims": huge}, {"index": [[1], [2]]}, 2),
+    ]
+    runs = [
+        (["solve", "--input", write_problem(tmp_path, problem(space, [condition]), f"{i}.json")],
+         code)
+        for i, (space, condition, code) in enumerate(solves)
+    ]
+    e = str(10 ** 4000)
+    runs.append((["porteous", "--space", json.dumps(GR24), e, e, "0", "1"], 3))
+    for argv, expected in runs:
+        proc = run_capped(argv)
+        assert proc.returncode == expected, proc.stderr[-300:]
+        assert proc.stderr.startswith("error: ")
+        assert "Exceeds the limit" not in proc.stderr
+
+
 def test_importing_the_cli_loads_no_dataclasses():
     script = (
         "import sys\n"

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from schubcalc.combination import decimal_text
 from schubcalc.errors import DimensionMismatch, NotADoubleIndex, SpaceMismatch
 from schubcalc.flag import FlagClass, FlagDescriptor, flag_multiply
 from schubcalc.grassmann import GrassmannClass, GrassmannianDescriptor
@@ -211,6 +212,22 @@ def test_dimension_mismatch_names_its_terms_by_kind():
         ({"type": "octonionic_flag"}, [2, 1, 3], 1,
          "conditions fill degree 1, but Fl(O^3) has fixed-point dimension 3"),
     ]
+    # integers past the str() digit limit are written whole
+    t, big = decimal_text(10 ** 3000), decimal_text(2 * 10 ** 3000)
+    square = decimal_text(10 ** 6000)
+    cases += [
+        ({"type": "complex_grassmannian", "k": 10 ** 3000, "n": 2 * 10 ** 3000}, [1], 1,
+         f"conditions fill degree 1, but Gr({t}, C^{big}) has dimension {square}"),
+        ({"type": "quaternionic_grassmannian", "k": 10 ** 3000, "n": 2 * 10 ** 3000}, [1], 1,
+         f"conditions fill degree 1, but Gr({t}, H^{big}) has fixed-point dimension {square}"),
+        ({"type": "real_even_grassmannian", "k": 2 * 10 ** 3000, "n": 4 * 10 ** 3000},
+         [2, 2], 1,
+         f"halved conditions fill degree 1, but Gr({big}, R^{decimal_text(4 * 10 ** 3000)}) "
+         f"has fixed-point dimension {square}"),
+        ({"type": "complex_grassmannian", "k": 1, "n": 10 ** 2001}, [10 ** 2000], 10 ** 2500,
+         f"conditions fill degree {decimal_text(10 ** 4500)}, but "
+         f"Gr(1, C^{decimal_text(10 ** 2001)}) has dimension {decimal_text(10 ** 2001 - 1)}"),
+    ]
     for space, index, count, message in cases:
         problem = {"space": space, "conditions": [{"index": index, "count": count}]}
         with pytest.raises(DimensionMismatch) as exc:
@@ -247,10 +264,20 @@ def test_degeneracy_lower_bound():
     assert real_degeneracy_lower_bound(GR4R8, 4) == 32
     with pytest.raises(DimensionMismatch):
         real_degeneracy_lower_bound(GR4R8, 3)
-    with pytest.raises(ValueError):
-        real_degeneracy_lower_bound(GR4R8, 4, corank=3)
-    with pytest.raises(ValueError):
-        real_degeneracy_lower_bound(GR2H4, 4)
+    # the corank rule problem files are read by, with the same messages
+    gr6r8 = HalvingSpaceDescriptor.real_even_grassmannian(6, 8)
+    for space, corank, message in (
+        (GR2H4, 2, "corank conditions need a real even Grassmannian"),
+        (GrassmannianDescriptor(2, 4), 2, "corank conditions need a real even Grassmannian"),
+        (FL222R6, 2, "corank conditions need a real even Grassmannian"),
+        (GR4R8, 3, "'corank' must be a positive even integer"),
+        (GR4R8, True, "'corank' must be a positive even integer"),
+        (GR4R8, 6, "corank 6 exceeds the bundle rank 4 of Gr(4, R^8)"),
+        (gr6r8, 2, "corank 2 leaves rank 4, above n-k = 2 on Gr(6, R^8)"),
+    ):
+        with pytest.raises(ValueError) as exc:
+            real_degeneracy_lower_bound(space, 4, corank=corank)
+        assert str(exc.value) == message, (space, corank)
 
 
 def test_kappa_char_class_pattern():

@@ -283,30 +283,26 @@ def test_parse_problem_corank_rules():
     p = parse_problem({"space": real, "conditions": [{"corank": 2, "count": 4}]})
     assert p.degeneracy == (2, 4)
     assert p.conditions == ()
-    with pytest.raises(ProblemSchemaError):
-        parse_problem({"space": real, "conditions": [{"corank": 3, "count": 4}]})
-    with pytest.raises(ProblemSchemaError):
-        parse_problem(
-            {
-                "space": real,
-                "conditions": [{"corank": 2, "count": 2}, {"corank": 2, "count": 2}],
-            }
-        )
-    with pytest.raises(ProblemSchemaError):
-        parse_problem(
-            {
-                "space": real,
-                "conditions": [{"corank": 2, "count": 2}, {"index": [2, 2], "count": 1}],
-            }
-        )
-    with pytest.raises(ProblemSchemaError):
-        parse_problem(
-            {"space": space_to_json(GR24), "conditions": [{"corank": 2, "count": 4}]}
-        )
-    with pytest.raises(ProblemSchemaError):
-        parse_problem(
-            {"space": space_to_json(FL222R6), "conditions": [{"corank": 2, "count": 4}]}
-        )
+    gr6r8 = {"type": "real_even_grassmannian", "k": 6, "n": 8}
+    need_real = "condition 1: corank conditions need a real even Grassmannian"
+    odd = "condition 1: 'corank' must be a positive even integer"
+    for space, conditions, message in (
+        (space_to_json(GR24), [{"corank": 2, "count": 4}], need_real),
+        (space_to_json(FL222R6), [{"corank": 2, "count": 4}], need_real),
+        (real, [{"corank": 2, "count": 2}, {"corank": 2, "count": 2}],
+         "condition 2: only one corank condition is supported"),
+        (real, [{"corank": 2, "count": 2}, {"index": [2, 2], "count": 1}],
+         "corank and index conditions cannot be mixed in one problem"),
+        (real, [{"corank": 3, "count": 4}], odd),
+        (real, [{"corank": True, "count": 4}], odd),
+        (real, [{"corank": 6, "count": 4}],
+         "condition 1: corank 6 exceeds the bundle rank 4 of Gr(4, R^8)"),
+        (gr6r8, [{"corank": 2, "count": 4}],
+         "condition 1: corank 2 leaves rank 4, above n-k = 2 on Gr(6, R^8)"),
+    ):
+        with pytest.raises(ProblemSchemaError) as exc:
+            parse_problem({"space": space, "conditions": conditions})
+        assert str(exc.value) == message, conditions
 
 
 def test_parse_problem_echo_and_description():
