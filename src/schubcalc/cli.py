@@ -2,11 +2,14 @@
 
 Results are written to stdout and are byte-identical across runs; timing
 goes to stderr. Exit status 0 means success, 2 a malformed input, and 3 a
-well-formed problem that cannot be solved on the requested space.
+well-formed problem that cannot be solved on the requested space. Exit
+status 141 means stdout was closed before the report was written, and
+nothing more is printed. A closed stderr does not change the exit code.
 """
 
 import argparse
 import json
+import os
 import sys
 import time
 from json.encoder import encode_basestring_ascii as _quote
@@ -41,6 +44,7 @@ from .serialize import (
 EXIT_OK = 0
 EXIT_SCHEMA = 2
 EXIT_UNSOLVABLE = 3
+EXIT_PIPE = 141  # 128 + SIGPIPE, what a shell reports for `yes | head`
 _INF = float("inf")
 
 
@@ -53,18 +57,8 @@ def _load_json(text, what):
         raise ProblemSchemaError(f"{what} is not valid JSON: nested too deeply") from None
 
 
-def _solve_report(parsed):
-    """Solve one parsed problem and build its report."""
-    value, provenance = halving.solve(parsed)
-    if isinstance(value, int):
-        result = result_to_json(value)
-    else:
-        result = class_to_json(value)
-    return _report(parsed.raw, result, provenance)
-
-
-def _report(echo, result, provenance):
-    return {"input": echo, "result": result, "provenance": provenance}
+def _report(echo, result, provenance, **extra):
+    return {"input": echo, "result": result, **extra, "provenance": provenance}
 
 
 def _class_text(value):
@@ -80,19 +74,28 @@ def _class_text(value):
     return " + ".join(parts)
 
 
-def _print_report(report, fmt, header=None):
-    if fmt == "json":
-        return
-    if header:
-        print(header)
+def _report_text(report):
     result = report["result"]
-    if isinstance(result, dict):
-        print(f"result: {_class_text(result)}")
-    else:
-        print(f"result: {result}")
+    text = f"result: {_class_text(result) if isinstance(result, dict) else result}\n"
     if "locus_class" in report:
-        print(f"locus class: {_class_text(report['locus_class'])}")
-    print(f"provenance: {report['provenance']}")
+        text += f"locus class: {_class_text(report['locus_class'])}\n"
+    return text + f"provenance: {report['provenance']}\n"
+
+
+def _render(payload, fmt):
+    """The whole stdout text of a report, or of a batch (a list of reports)."""
+    if fmt == "json":
+        # the reader's depth limit is not the writer's: on 3.12+ json.loads
+        # has a C recursion guard of its own, while _put spends Python frames
+        try:
+            return _json_text(payload) + "\n"
+        except RecursionError:
+            raise ProblemSchemaError("the report is nested too deeply to write") from None
+    if isinstance(payload, dict):
+        return _report_text(payload)
+    return "\n".join(
+        f"problem {i}:\n" + _report_text(report) for i, report in enumerate(payload, start=1)
+    )
 
 
 def _json_text(value):
@@ -148,25 +151,6 @@ def _put(x, head, nl, out):
         raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
 
 
-def _emit(reports, fmt, batch):
-    if fmt == "json":
-        # the reader's depth limit is not the writer's: on 3.12+ json.loads
-        # has a C recursion guard of its own, while _put spends Python frames
-        try:
-            text = _json_text(reports if batch else reports[0])
-        except RecursionError:
-            raise ProblemSchemaError("the report is nested too deeply to write") from None
-        print(text)
-        return
-    for i, report in enumerate(reports):
-        if batch:
-            if i:
-                print()
-            _print_report(report, fmt, header=f"problem {i + 1}:")
-        else:
-            _print_report(report, fmt)
-
-
 def cmd_solve(args):
     try:
         if args.input == "-":
@@ -194,12 +178,12 @@ def cmd_solve(args):
     reports = []
     for i, p in enumerate(parsed, start=1):
         try:
-            reports.append(_solve_report(p))
+            value, provenance = halving.solve(p)
         except (DimensionMismatch, NotADoubleIndex, ProblemSchemaError) as exc:
             raise type(exc)(f"problem {i}: {exc}" if batch else str(exc)) from None
-
-    _emit(reports, args.format, batch)
-    return EXIT_OK
+        result = result_to_json(value) if isinstance(value, int) else class_to_json(value)
+        reports.append(_report(p.raw, result, provenance))
+    return reports if batch else reports[0]
 
 
 def cmd_lr(args):
@@ -208,13 +192,11 @@ def cmd_lr(args):
         for name, text in (("lam", args.lam), ("mu", args.mu), ("nu", args.nu))
     )
     value = lr_coefficient(lam, mu, nu)
-    report = _report(
+    return _report(
         {"lr": [list(lam), list(mu), list(nu)]},
         result_to_json(value),
         "counted lattice-word tableaux on the skew shape",
     )
-    _emit([report], args.format, batch=False)
-    return EXIT_OK
 
 
 def cmd_mult(args):
@@ -226,13 +208,11 @@ def cmd_mult(args):
     a = class_from_json(space, _load_json(args.a, "the first factor"))
     b = class_from_json(space, _load_json(args.b, "the second factor"))
     product = a * b
-    report = _report(
+    return _report(
         {"space": space_to_json(space), "factors": [class_to_json(a), class_to_json(b)]},
         class_to_json(product),
         "expanded the product in the Schubert basis of the ambient space",
     )
-    _emit([report], args.format, batch=False)
-    return EXIT_OK
 
 
 def cmd_giambelli(args):
@@ -241,14 +221,12 @@ def cmd_giambelli(args):
         raise ProblemSchemaError("the determinantal expansion needs a complex Grassmannian")
     lam = index_from_json(space, _load_json(args.partition, "the partition"))
     value = giambelli(lam, space)
-    report = _report(
+    return _report(
         {"space": space_to_json(space), "partition": list(lam)},
         class_to_json(value),
         "evaluated the determinant in single-row classes with the "
         "conjugate-row shift pattern",
     )
-    _emit([report], args.format, batch=False)
-    return EXIT_OK
 
 
 def cmd_porteous(args):
@@ -260,17 +238,13 @@ def cmd_porteous(args):
         value, locus = degeneracy_count_and_locus(space, e, f, rho, m)
     except ValueError as exc:
         raise ProblemSchemaError(str(exc)) from None
-    report = {
-        "input": {"space": space_to_json(space), "e": e, "f": f, "rho": rho, "maps": m},
-        "result": result_to_json(value),
-        "locus_class": class_to_json(locus),
-        "provenance": (
-            "evaluated the determinant in the Chern series of the bundle "
-            "difference and integrated the product over all maps"
-        ),
-    }
-    _emit([report], args.format, batch=False)
-    return EXIT_OK
+    return _report(
+        {"space": space_to_json(space), "e": e, "f": f, "rho": rho, "maps": m},
+        result_to_json(value),
+        "evaluated the determinant in the Chern series of the bundle "
+        "difference and integrated the product over all maps",
+        locus_class=class_to_json(locus),
+    )
 
 
 def cmd_kappa(args):
@@ -282,26 +256,18 @@ def cmd_kappa(args):
         image = kappa(cls)
     except ValueError as exc:
         raise ProblemSchemaError(str(exc)) from None
-    report = _report(
+    return _report(
         {"space": space_to_json(space), "class": class_to_json(cls)},
         class_to_json(image),
         "applied the halving map: doubled indices are halved and each term "
         "is weighted by two to its complex degree",
     )
-    _emit([report], args.format, batch=False)
-    return EXIT_OK
 
 
 def cmd_selftest(args):
     from .selftest import run_selftest
 
     return run_selftest(args.level)
-
-
-def _add_format(sub):
-    sub.add_argument(
-        "--format", choices=("json", "text"), default="json", help="output format"
-    )
 
 
 def build_parser():
@@ -323,27 +289,23 @@ def build_parser():
     p.add_argument(
         "--jobs", type=int, default=1, help="accepted; problems run one at a time"
     )
-    _add_format(p)
     p.set_defaults(fn=cmd_solve)
 
     p = subs.add_parser("lr", help="one structure constant of the basis product")
     p.add_argument("lam")
     p.add_argument("mu")
     p.add_argument("nu")
-    _add_format(p)
     p.set_defaults(fn=cmd_lr)
 
     p = subs.add_parser("mult", help="product of two classes on one space")
     p.add_argument("--space", required=True)
     p.add_argument("a")
     p.add_argument("b")
-    _add_format(p)
     p.set_defaults(fn=cmd_mult)
 
     p = subs.add_parser("giambelli", help="determinantal expansion of a basis class")
     p.add_argument("--space", required=True)
     p.add_argument("partition")
-    _add_format(p)
     p.set_defaults(fn=cmd_giambelli)
 
     p = subs.add_parser("porteous", help="expected rank-drop locus and count")
@@ -352,20 +314,29 @@ def build_parser():
     p.add_argument("f", type=int)
     p.add_argument("rho", type=int)
     p.add_argument("maps", type=int)
-    _add_format(p)
     p.set_defaults(fn=cmd_porteous)
 
     p = subs.add_parser("kappa", help="image of a class under the halving map")
     p.add_argument("--space", required=True)
     p.add_argument("cls", metavar="class")
-    _add_format(p)
     p.set_defaults(fn=cmd_kappa)
+
+    for p in subs.choices.values():  # every command so far returns reports
+        p.add_argument("--format", choices=("json", "text"), default="json", help="output format")
 
     p = subs.add_parser("selftest", help="run the built-in verification suites")
     p.add_argument("--level", choices=("quick", "full"), default="quick")
     p.set_defaults(fn=cmd_selftest)
 
     return parser
+
+
+def _to_devnull(stream):
+    """Point a dead stream's descriptor at devnull, so that the flush at exit
+    neither fails again nor turns the exit code into 120."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, stream.fileno())
+    os.close(devnull)
 
 
 _parser = None
@@ -379,19 +350,29 @@ def main(argv=None):
         _parser = build_parser()
     args = _parser.parse_args(argv)
     start = time.perf_counter()
+    error = ""
     try:
-        code = args.fn(args)
+        payload = args.fn(args)
+        if isinstance(payload, int):  # selftest has written its own lines
+            code, text = payload, ""
+        else:
+            code, text = EXIT_OK, _render(payload, args.format)
+        print(text, end="", flush=True)
+    except BrokenPipeError:  # the reader has gone; nothing more is printed
+        _to_devnull(sys.stdout)
+        return EXIT_PIPE
     except ProblemSchemaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        code = EXIT_SCHEMA
+        error, code = f"error: {exc}\n", EXIT_SCHEMA
     except (DimensionMismatch, NotADoubleIndex, SpaceMismatch) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        code = EXIT_UNSOLVABLE
+        error, code = f"error: {exc}\n", EXIT_UNSOLVABLE
     except SchubertError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        code = EXIT_UNSOLVABLE
+        error, code = f"error: {type(exc).__name__}: {exc}\n", EXIT_UNSOLVABLE
     elapsed = (time.perf_counter() - start) * 1000.0
-    print(f"elapsed_ms: {elapsed:.1f}", file=sys.stderr)
+    try:
+        if sys.stderr is not None:  # None if fd 2 was closed at start-up
+            sys.stderr.write(f"{error}elapsed_ms: {elapsed:.1f}\n")
+    except OSError:  # a dead stderr drops the line; the run keeps its code
+        _to_devnull(sys.stderr)
     return code
 
 

@@ -1,6 +1,7 @@
 import itertools
 import json
 import os
+import shlex
 import subprocess
 import sys
 import time
@@ -257,7 +258,7 @@ def test_a_report_past_the_recursion_limit_exits_two(capsys):
         echo = [echo]
     report = cli._report(echo, "2", "read")
     with pytest.raises(ProblemSchemaError, match="nested too deeply"):
-        cli._emit([report], "json", batch=False)
+        cli._render(report, "json")
     assert capsys.readouterr().out == ""
 
 
@@ -874,6 +875,189 @@ def test_module_entry_point(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["result"] == 2
     assert "elapsed_ms" in proc.stderr
+
+
+def buffered_env():
+    """The environment with Python's default stdio buffering."""
+    return {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+
+
+def run_into_a_closed_pipe(argv):
+    """`python -m schubcalc argv` whose stdout is the write end of a pipe
+    with its read end already closed, so that every write fails with EPIPE."""
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        return subprocess.run(
+            [sys.executable, "-m", "schubcalc", *argv],
+            stdout=write, stderr=subprocess.PIPE, text=True, env=buffered_env(), timeout=120,
+        )
+    finally:
+        os.close(write)
+
+
+def test_a_closed_stdout_ends_in_141_without_a_traceback(tmp_path):
+    entry = problem(GR24, [{"index": [1], "count": 4}])
+    single = write_problem(tmp_path, entry)
+    big = write_problem(tmp_path, [entry] * 300, "big.json")  # past a pipe buffer
+    runs = [
+        [*argv, "--format", fmt] for argv in (["solve", "--input", single],
+                                              ["solve", "--input", big],
+                                              ["mult", "--space", json.dumps(GR24), "[1]", "[1]"])
+        for fmt in ("json", "text")
+    ] + [["selftest"]]
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        procs = list(pool.map(run_into_a_closed_pipe, runs))
+    for argv, proc in zip(runs, procs):
+        # nothing more is printed: no elapsed_ms, no Traceback, no
+        # "Exception ignored" from the flush at exit
+        assert (proc.returncode, proc.stderr) == (141, ""), argv
+
+
+def test_a_closed_stderr_keeps_the_exit_code(capsys, tmp_path):
+    path = write_problem(tmp_path, problem(GR24, [{"index": [1], "count": 4}]))
+    _, report, _ = run_cli(capsys, ["solve", "--input", path, "--format", "text"])
+    # fd 2 closed, and fd 2 open for reading only, where a write fails
+    for redirect in ("2>&-", "2</dev/null"):
+        for name, code, out in ((path, 0, report), (str(tmp_path / "absent.json"), 2, "")):
+            command = (
+                f"{shlex.quote(sys.executable)} -m schubcalc solve"
+                f" --input {shlex.quote(name)} --format text {redirect}"
+            )
+            proc = subprocess.run(
+                ["sh", "-c", command], capture_output=True, text=True,
+                env=buffered_env(), timeout=60,
+            )
+            assert (proc.returncode, proc.stdout) == (code, out), (command, proc.stderr)
+
+
+SINGLE = problem(GR24, [{"index": [1], "count": 4}])
+SOLVE_PROVENANCE = (
+    "expanded the condition product in the Schubert basis and read off the "
+    "coefficient of the point class"
+)
+HALVING_PROVENANCE = (
+    "applied the halving map: doubled indices are halved and each term is "
+    "weighted by two to its complex degree"
+)
+MULT_PROVENANCE = "expanded the product in the Schubert basis of the ambient space"
+PINNED = [
+    (
+        ["lr", "[2,1]", "[2,1]", "[3,2,1]"],
+        '{"input": {"lr": [[2, 1], [2, 1], [3, 2, 1]]}, "result": 2, '
+        '"provenance": "counted lattice-word tableaux on the skew shape"}',
+        "result: 2\nprovenance: counted lattice-word tableaux on the skew shape\n",
+    ),
+    (
+        ["mult", "--space", json.dumps(GR24), "[1]", "[1]"],
+        '{"input": {"space": {"type": "complex_grassmannian", "k": 2, "n": 4}, "factors": ['
+        '{"space": {"type": "complex_grassmannian", "k": 2, "n": 4}, '
+        '"terms": [{"partition": [1], "coeff": "1"}]}, '
+        '{"space": {"type": "complex_grassmannian", "k": 2, "n": 4}, '
+        '"terms": [{"partition": [1], "coeff": "1"}]}]}, '
+        '"result": {"space": {"type": "complex_grassmannian", "k": 2, "n": 4}, '
+        '"terms": [{"partition": [1, 1], "coeff": "1"}, {"partition": [2], "coeff": "1"}]}, '
+        f'"provenance": "{MULT_PROVENANCE}"}}',
+        f"result: s[1, 1] + s[2]\nprovenance: {MULT_PROVENANCE}\n",
+    ),
+    (
+        ["mult", "--space", json.dumps(GR4R8), "[2,2]", "[2,2]"],
+        '{"input": {"space": {"type": "real_even_grassmannian", "k": 4, "n": 8}, "factors": ['
+        '{"space": {"type": "real_even_grassmannian", "k": 4, "n": 8}, '
+        '"terms": [{"partition": [2, 2], "coeff": "1"}]}, '
+        '{"space": {"type": "real_even_grassmannian", "k": 4, "n": 8}, '
+        '"terms": [{"partition": [2, 2], "coeff": "1"}]}]}, '
+        '"result": {"space": {"type": "real_even_grassmannian", "k": 4, "n": 8}, '
+        '"terms": [{"partition": [2, 2, 2, 2], "coeff": "1"}, '
+        '{"partition": [4, 4], "coeff": "1"}]}, '
+        f'"provenance": "{MULT_PROVENANCE}"}}',
+        f"result: s[2, 2, 2, 2] + s[4, 4]\nprovenance: {MULT_PROVENANCE}\n",
+    ),
+    (
+        ["giambelli", "--space", json.dumps(GR36), "[2,1]"],
+        '{"input": {"space": {"type": "complex_grassmannian", "k": 3, "n": 6}, '
+        '"partition": [2, 1]}, '
+        '"result": {"space": {"type": "complex_grassmannian", "k": 3, "n": 6}, '
+        '"terms": [{"partition": [2, 1], "coeff": "1"}]}, '
+        '"provenance": "evaluated the determinant in single-row classes with the '
+        'conjugate-row shift pattern"}',
+        "result: s[2, 1]\nprovenance: evaluated the determinant in single-row classes "
+        "with the conjugate-row shift pattern\n",
+    ),
+    (
+        ["porteous", "--space", json.dumps(GR24), "2", "2", "1", "4"],
+        '{"input": {"space": {"type": "complex_grassmannian", "k": 2, "n": 4}, '
+        '"e": 2, "f": 2, "rho": 1, "maps": 4}, "result": 32, '
+        '"locus_class": {"space": {"type": "complex_grassmannian", "k": 2, "n": 4}, '
+        '"terms": [{"partition": [1], "coeff": "2"}]}, '
+        '"provenance": "evaluated the determinant in the Chern series of the bundle '
+        'difference and integrated the product over all maps"}',
+        "result: 32\nlocus class: 2*s[1]\nprovenance: evaluated the determinant in the "
+        "Chern series of the bundle difference and integrated the product over all maps\n",
+    ),
+    (
+        ["kappa", "--space", json.dumps(OCT), "[2,1]"],
+        '{"input": {"space": {"type": "octonionic_flag"}, "class": '
+        '{"space": {"type": "octonionic_flag"}, '
+        '"terms": [{"permutation": [2, 1, 3], "coeff": "1"}]}}, '
+        '"result": {"space": {"type": "quaternionic_flag", "dims": [1, 1, 1]}, '
+        '"terms": [{"osp": [[2], [1], [3]], "coeff": "1"}]}, '
+        f'"provenance": "{HALVING_PROVENANCE}"}}',
+        f"result: S[[2], [1], [3]]\nprovenance: {HALVING_PROVENANCE}\n",
+    ),
+    (
+        ["kappa", "--space", '{"type": "quaternionic_flag", "dims": [1, 2]}',
+         '{"terms": [{"osp": [[3], [1, 2]], "coeff": "1/4"}]}'],
+        '{"input": {"space": {"type": "quaternionic_flag", "dims": [1, 2]}, "class": '
+        '{"space": {"type": "quaternionic_flag", "dims": [1, 2]}, '
+        '"terms": [{"osp": [[3], [1, 2]], "coeff": "1/4"}]}}, '
+        '"result": {"space": {"type": "complex_flag", "dims": [1, 2]}, '
+        '"terms": [{"permutation": [3, 1, 2], "coeff": "1"}]}, '
+        f'"provenance": "{HALVING_PROVENANCE}"}}',
+        f"result: S[3, 1, 2]\nprovenance: {HALVING_PROVENANCE}\n",
+    ),
+    (
+        ["solve", SINGLE],
+        '{"input": {"space": {"type": "complex_grassmannian", "k": 2, "n": 4}, '
+        '"conditions": [{"index": [1], "count": 4}]}, "result": 2, '
+        f'"provenance": "{SOLVE_PROVENANCE}"}}',
+        f"result: 2\nprovenance: {SOLVE_PROVENANCE}\n",
+    ),
+    (
+        ["solve", [SINGLE, problem(GR4R8, [{"corank": 2, "count": 4}], mode="lower_bound")]],
+        '[{"input": {"space": {"type": "complex_grassmannian", "k": 2, "n": 4}, '
+        '"conditions": [{"index": [1], "count": 4}]}, "result": 2, '
+        f'"provenance": "{SOLVE_PROVENANCE}"}}, '
+        '{"input": {"space": {"type": "real_even_grassmannian", "k": 4, "n": 8}, '
+        '"conditions": [{"corank": 2, "count": 4}], "mode": "lower_bound"}, "result": 32, '
+        '"provenance": "halved each rank-drop condition and evaluated the determinantal '
+        "locus class on the fixed-point Grassmannian; the complex count certifies the "
+        'real lower bound"}]',
+        f"problem 1:\nresult: 2\nprovenance: {SOLVE_PROVENANCE}\n\n"
+        "problem 2:\nresult: 32\nprovenance: halved each rank-drop condition and "
+        "evaluated the determinantal locus class on the fixed-point Grassmannian; "
+        "the complex count certifies the real lower bound\n",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, report, text", PINNED, ids=[
+    "lr", "mult", "mult-real", "giambelli", "porteous", "kappa-oct", "kappa-quat", "solve", "batch",
+])
+def test_every_command_writes_the_pinned_bytes(capsys, tmp_path, argv, report, text):
+    # json is written as json.dumps(report, indent=2) writes it, key order kept
+    if argv[0] == "solve":
+        argv = ["solve", "--input", write_problem(tmp_path, argv[1])]
+    want = json.dumps(json.loads(report), indent=2) + "\n"
+    assert run_cli(capsys, [*argv, "--format", "json"])[:2] == (0, want)
+    assert run_cli(capsys, [*argv, "--format", "text"])[:2] == (0, text)
+
+
+def test_selftest_takes_no_format(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["selftest", "--format", "json"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --format json" in capsys.readouterr().err
 
 
 def prepend_path(env, key, entry):
