@@ -3,11 +3,14 @@
 Results are written to stdout and are byte-identical across runs; timing
 goes to stderr. Exit status 0 means success, 2 a malformed input, and 3 a
 well-formed problem that cannot be solved on the requested space. Exit
-status 141 means stdout was closed before the report was written, and
-nothing more is printed. A closed stderr does not change the exit code.
+status 141 means the reader of stdout went away before the report was
+written, also under `python -u`, and nothing more is printed; 74
+(EX_IOERR) means stdout cannot take the report, and stderr says why. A
+closed stderr does not change the exit code.
 """
 
 import argparse
+import io
 import json
 import os
 import sys
@@ -44,6 +47,7 @@ from .serialize import (
 EXIT_OK = 0
 EXIT_SCHEMA = 2
 EXIT_UNSOLVABLE = 3
+EXIT_IOERR = 74  # EX_IOERR of sysexits.h: stdout cannot take the report
 EXIT_PIPE = 141  # 128 + SIGPIPE, what a shell reports for `yes | head`
 _INF = float("inf")
 
@@ -267,7 +271,8 @@ def cmd_kappa(args):
 def cmd_selftest(args):
     from .selftest import run_selftest
 
-    return run_selftest(args.level)
+    out = io.StringIO()
+    return run_selftest(args.level, out), out.getvalue()
 
 
 def build_parser():
@@ -331,12 +336,38 @@ def build_parser():
     return parser
 
 
-def _to_devnull(stream):
-    """Point a dead stream's descriptor at devnull, so that the flush at exit
-    neither fails again nor turns the exit code into 120."""
-    devnull = os.open(os.devnull, os.O_WRONLY)
-    os.dup2(devnull, stream.fileno())
-    os.close(devnull)
+def _write(stream, text):
+    """Write every byte of text to stream, or raise OSError.
+
+    The text is encoded once and written to the binary layer in a loop: a
+    raw one (stdio under `python -u`) may take part of a write and return
+    its count, and the text layer would drop the rest. A write that takes
+    nothing is an error, not a retry. A stream with no binary layer (a
+    StringIO) takes the text whole. The descriptor of a stream that fails
+    is pointed at devnull, so that the flush at exit neither fails again
+    nor turns the exit code into 120.
+    """
+    if stream is None:  # its descriptor was closed at start-up
+        raise OSError("the stream is closed")
+    binary = getattr(stream, "buffer", None)
+    if binary is None:
+        stream.write(text)
+        stream.flush()
+        return
+    try:
+        stream.flush()
+        data = memoryview(text.encode(stream.encoding, stream.errors))
+        while data:
+            taken = binary.write(data)
+            if not taken:
+                raise OSError("the stream took no bytes")
+            data = data[taken:]
+        binary.flush()
+    except OSError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, stream.fileno())
+        os.close(devnull)
+        raise
 
 
 _parser = None
@@ -353,14 +384,16 @@ def main(argv=None):
     error = ""
     try:
         payload = args.fn(args)
-        if isinstance(payload, int):  # selftest has written its own lines
-            code, text = payload, ""
+        if isinstance(payload, tuple):  # selftest: its code and its lines
+            code, text = payload
         else:
             code, text = EXIT_OK, _render(payload, args.format)
-        print(text, end="", flush=True)
-    except BrokenPipeError:  # the reader has gone; nothing more is printed
-        _to_devnull(sys.stdout)
-        return EXIT_PIPE
+        try:
+            _write(sys.stdout, text)
+        except BrokenPipeError:  # the reader has gone; nothing more is printed
+            return EXIT_PIPE
+        except OSError as exc:
+            error, code = f"error: cannot write the report: {exc}\n", EXIT_IOERR
     except ProblemSchemaError as exc:
         error, code = f"error: {exc}\n", EXIT_SCHEMA
     except (DimensionMismatch, NotADoubleIndex, SpaceMismatch) as exc:
@@ -369,10 +402,9 @@ def main(argv=None):
         error, code = f"error: {type(exc).__name__}: {exc}\n", EXIT_UNSOLVABLE
     elapsed = (time.perf_counter() - start) * 1000.0
     try:
-        if sys.stderr is not None:  # None if fd 2 was closed at start-up
-            sys.stderr.write(f"{error}elapsed_ms: {elapsed:.1f}\n")
+        _write(sys.stderr, f"{error}elapsed_ms: {elapsed:.1f}\n")
     except OSError:  # a dead stderr drops the line; the run keeps its code
-        _to_devnull(sys.stderr)
+        pass
     return code
 
 

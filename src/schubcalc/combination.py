@@ -11,9 +11,9 @@ how two classes multiply; everything linear lives here once:
 - `_scalars` are the coefficient types `*` scales by, `_zero` their zero;
 - `_symbol` names a basis class in `repr`;
 - `_product(other)` multiplies through the ring's module-level kernel;
-- `_product_within(other, top)` is the same product when only its terms
-  that can pair with the basis class keyed `top` are read: a Grassmannian
-  class builds only those, and the other types build the whole product.
+- `_product_within(other, within)` is the same product when only its
+  terms inside the basis key `within` are read: a Grassmannian class
+  builds only those, and the other types build the whole product.
 
 Every ring keys its unit class `()`: the empty partition, the identity
 permutation stripped of its fixed points, the constant monomial. The public
@@ -182,9 +182,9 @@ class SparseCombination:
 
     __rmul__ = __mul__
 
-    def _product_within(self, other, top):
-        """self * other, of which only the terms that pair with the basis
-        class keyed `top` will be read (all of them when top is None)."""
+    def _product_within(self, other, within):
+        """self * other, of which only the terms that can reach the basis
+        key `within` will be read (all of them when within is None)."""
         return self._product(other)
 
     def __pow__(self, m):
@@ -192,10 +192,7 @@ class SparseCombination:
             raise ValueError("negative power")
         if m == 0:
             return self.unit(self.space)
-        out = self
-        for _ in range(m - 1):
-            out = out._product(self)
-        return out
+        return multiply_copies([(self, m)])
 
     def __eq__(self, other):
         if type(other) is not type(self):
@@ -214,15 +211,15 @@ class SparseCombination:
         return text if self.space is None else f"<{text} on {self.space}>"
 
 
-def multiply_copies(factors, product=None, top=None):
+def multiply_copies(factors, product=None, within=None):
     """`product` times c copies of each class a of the (a, c) in `factors`,
     one copy at a time and in order; a `product` of None starts from the
     first copy, and stays None when there is none. Every product is
-    `_product_within(a, top)`: with a basis key `top`, the caller reads
-    only what the product contributes to the pairing with s_top."""
+    `_product_within(a, within)`: with a basis key `within`, the caller
+    reads only the product's coefficient there."""
     for a, c in factors:
         for _ in range(c):
-            product = a if product is None else product._product_within(a, top)
+            product = a if product is None else product._product_within(a, within)
     return product
 
 
@@ -239,11 +236,11 @@ def intersection_number(factors):
     degree is at least that of the odd copies). Otherwise one copy of the
     top condition, the first of highest degree, is left out, and the count
     is <R, top> for R the product of every other copy: R's coefficient at
-    the dual key of top = s_u. Only the terms of R's products that can
-    still reach that key are needed (`_product_within(a, u)`; on a
-    Grassmannian, the shapes inside it); with nothing left, top's
-    point-class coefficient is read. Copies are multiplied in the order of
-    `factors`.
+    the dual key u* of top = s_u. u* is computed once, and only the terms
+    of R's products that can still reach it are needed
+    (`_product_within(a, u*)`; on a Grassmannian, the shapes inside it);
+    with nothing left, top's point-class coefficient is read. Copies are
+    multiplied in the order of `factors`.
     """
     half = odd = 0
     for _, degree, c in factors:
@@ -252,9 +249,9 @@ def intersection_number(factors):
     if half < odd:
         j = max(range(len(factors)), key=lambda i: factors[i][1])
         top = factors[j][0]
-        u = next(iter(top.terms)) if len(top.terms) == 1 else None
+        within = top._dual_key(top.space, *top.terms) if len(top.terms) == 1 else None
         rest = multiply_copies(
-            [(a, c - (i == j)) for i, (a, _, c) in enumerate(factors)], top=u
+            [(a, c - (i == j)) for i, (a, _, c) in enumerate(factors)], within=within
         )
         if rest is None:
             return top.terms.get(top._dual_key(top.space, ()), 0)

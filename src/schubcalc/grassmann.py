@@ -18,7 +18,7 @@ from .errors import (
     MissingChernDegree,
 )
 from .indexing import fits_in_box, normalize_partition, partition_size
-from .schur import _lr_product, ring_determinant
+from .schur import _lr_product, jacobi_trudi_matrix, ring_determinant
 
 
 class GrassmannianDescriptor(Record):
@@ -71,11 +71,8 @@ class GrassmannClass(SparseCombination):
     def _product(self, other):
         return gr_multiply(self, other)
 
-    def _product_within(self, other, top):
-        # only top's dual pairs with s_top, and a product of a shape that
-        # does not fit inside the dual never fits inside it
+    def _product_within(self, other, within):
         self._check_space(other)
-        within = None if top is None else self._dual_key(self.space, top)
         return GrassmannClass._make(self.space, _lr_product(self, other, within))
 
 
@@ -132,14 +129,7 @@ def giambelli(lam, space):
     determinant by ring arithmetic must land back on the basis class.
     """
     lam = GrassmannClass._key(space, lam)
-    d, l = len(lam), space.l
-    mat = []
-    for i, part in enumerate(lam):
-        # only 0 <= part - i + j <= l is nonzero: a band of at most l + 1
-        row = [0] * d
-        for j in range(max(0, i - part), min(d, l - part + i + 1)):
-            row[j] = chern_class("quot", part - i + j, space)
-        mat.append(row)
+    mat = jacobi_trudi_matrix(lam, lambda p: chern_class("quot", p, space), space.l)
     return ring_determinant(mat, GrassmannClass.unit(space))
 
 
@@ -164,22 +154,15 @@ def thom_porteous(e, f, rho, c):
     """
     if not c:
         raise MissingChernDegree("need at least the degree-0 Chern class")
-    space = c[0].space
     _check_ranks(e, f, rho)
-    d = e - rho
-    zero = GrassmannClass.zero(space)
 
     def entry(deg):
-        if deg < 0:
-            return zero
         if deg >= len(c):
-            raise MissingChernDegree(
-                f"Chern series entry of degree {deg} not supplied"
-            )
+            raise MissingChernDegree(f"Chern series entry of degree {deg} not supplied")
         return c[deg]
 
-    mat = [[entry(f - rho + j - i) for j in range(d)] for i in range(d)]
-    return ring_determinant(mat, GrassmannClass.unit(space))
+    mat = jacobi_trudi_matrix((f - rho,) * (e - rho), entry)
+    return ring_determinant(mat, GrassmannClass.unit(c[0].space))
 
 
 def tautological_chern_difference(space, max_degree):

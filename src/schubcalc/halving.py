@@ -166,11 +166,11 @@ class HalvingSpaceDescriptor(Record):
 def _index_key(space, index):
     """The stored key of an index: its complex key on `space.index_space`.
 
-    Partitions must fit the box. A permutation of 1..m, m <= n, on a real
-    even or quaternionic flag is padded with fixed points to n and stands
-    for its coset, while the octonionic flag takes minimal permutations, as
-    the complex full flag does. Doubledness is not checked here; the halving
-    operations enforce it where required.
+    Partitions must fit the box. A permutation of 1..m, m <= n, on a flag
+    is padded with fixed points to n and stands for its coset. On the
+    octonionic flag, as on any complete flag, every coset has one element,
+    so that is the permutation itself. Doubledness is not checked here; the
+    halving operations enforce it where required.
     """
     ix = space.index_space
     if space.grassmannian_fixed_point:
@@ -178,10 +178,8 @@ def _index_key(space, index):
         if not fits_in_box(lam, ix.k, ix.l):
             raise ValueError(f"partition {lam} does not fit {space}")
         return lam
-    if space.kind != OCTONIONIC:
-        index = perm_pad(normalize_perm(index), ix.n)
-        index = perm_from_osp(osp_from_perm(index, ix.dims))
-    return FlagClass._key(ix, index)
+    index = perm_pad(normalize_perm(index), ix.n)
+    return FlagClass._key(ix, perm_from_osp(osp_from_perm(index, ix.dims)))
 
 
 def _halve(space, index):
@@ -199,6 +197,13 @@ def _halve(space, index):
         if not space.grassmannian_fixed_point:
             index = perm_pad(index, space.index_space.n)  # as output writes it
         raise NotADoubleIndex(f"index {index} is not a doubled index") from exc
+
+
+def _halved(a):
+    """The terms of a class as (key on the fixed point, coefficient) pairs.
+    Each key is halved (`_halve`) when its term is read, so `kappa` meets
+    the faults of the terms in their order."""
+    return ((_halve(a.space, key), c) for key, c in a.terms.items())
 
 
 class HalvingClass(SparseCombination):
@@ -237,8 +242,7 @@ def kappa(a):
     fp = space.fixed_point
     ring = fp.classes
     terms = {}
-    for index, c in a.terms.items():
-        key = _halve(space, index)
+    for key, c in _halved(a):
         c *= 2 ** ring._rank(key)
         if c.denominator != 1:
             raise ValueError(
@@ -280,9 +284,7 @@ def real_double_multiply(a, b):
         raise ValueError(f"doubled-index product needs a real even space, not {space}")
     fp = space.fixed_point
     ring = fp.classes
-    left, right = (
-        ring._make(fp, {_halve(space, k): c for k, c in x.terms.items()}) for x in (a, b)
-    )
+    left, right = (ring._make(fp, dict(_halved(x))) for x in (a, b))
     double = partition_double if space.grassmannian_fixed_point else perm_double
     product = left * right
     return HalvingClass._make(space, {double(k): c for k, c in product.terms.items()})

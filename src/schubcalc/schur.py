@@ -253,6 +253,20 @@ def schur_multiply(a, b):
 # ---------------------------------------------------------------------------
 
 
+def jacobi_trudi_matrix(lam, h, top=None):
+    """The matrix [h(lam_i - i + j)] of a partition lam, for ring_determinant:
+    h is asked, row by row, only for the degrees 0..top (every degree from
+    0 when top is None), and the entries of other degrees are 0."""
+    d, mat = len(lam), []
+    for i, part in enumerate(lam):
+        row = [0] * d
+        end = d if top is None else min(d, top - part + i + 1)
+        for j in range(max(0, i - part), end):
+            row[j] = h(part - i + j)
+        mat.append(row)
+    return mat
+
+
 def ring_determinant(mat, one):
     """Determinant by row-by-row expansion, one signed minor per set of
     used columns (a bit mask), so paths that fill the same columns merge:

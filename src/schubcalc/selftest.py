@@ -43,7 +43,7 @@ from .combination import SparseCombination, decimal_text
 from .errors import SupportOutsideStaircase
 from .flag import FlagClass
 from .indexing import normalize_partition, normalize_perm, perm_pad, perm_strip
-from .schur import SchurExpansion, ring_determinant
+from .schur import SchurExpansion, jacobi_trudi_matrix, ring_determinant
 
 # ---------------------------------------------------------------------------
 # partitions and permutations
@@ -379,19 +379,8 @@ def jacobi_trudi(lam):
     s_lam, which makes it a second, determinant-shaped route to the
     same basis element.
     """
-    lam = normalize_partition(lam)
-    n = len(lam)
-    if n == 0:
-        return SchurExpansion.one()
-
-    def h(p):
-        if p < 0:
-            return SchurExpansion.zero()
-        if p == 0:
-            return SchurExpansion.one()
-        return SchurExpansion.basis((p,))
-
-    mat = [[h(lam[i] - (i + 1) + (j + 1)) for j in range(n)] for i in range(n)]
+    # h_p = s_(p), and s_(0) is the unit
+    mat = jacobi_trudi_matrix(normalize_partition(lam), lambda p: SchurExpansion.basis((p,)))
     return ring_determinant(mat, SchurExpansion.one())
 
 

@@ -931,7 +931,61 @@ def test_a_closed_stderr_keeps_the_exit_code(capsys, tmp_path):
             assert (proc.returncode, proc.stdout) == (code, out), (command, proc.stderr)
 
 
-SINGLE = problem(GR24, [{"index": [1], "count": 4}])
+def test_a_reader_that_leaves_mid_report_under_unbuffered_stdio_ends_in_141(tmp_path):
+    # under -u the text layer writes through a raw FileIO, whose one write
+    # returns the part the pipe took before the reader left
+    entry = problem({"type": "complex_flag", "dims": [1] * 7}, [{"index": [2, 1]}], mode="class")
+    big = write_problem(tmp_path, [entry] * 3000, "big.json")  # far past a pipe buffer
+    with open(tmp_path / "err.txt", "w+") as err:
+        child = subprocess.Popen(
+            [sys.executable, "-m", "schubcalc", "solve", "--input", big],
+            stdout=subprocess.PIPE, stderr=err, env={**buffered_env(), "PYTHONUNBUFFERED": "1"},
+        )
+        head = child.stdout.read(20)
+        child.stdout.close()
+        code = child.wait(timeout=120)
+        err.seek(0)
+        assert (len(head), code, err.read()) == (20, 141, "")
+
+
+def full_stdout_run(argv, unbuffered):
+    """`python -m schubcalc argv` with stdout on /dev/full, where every write
+    fails with ENOSPC."""
+    env = {**buffered_env(), "PYTHONUNBUFFERED": "1"} if unbuffered else buffered_env()
+    with open("/dev/full", "w") as full:
+        return subprocess.run(
+            [sys.executable, "-m", "schubcalc", *argv],
+            stdout=full, stderr=subprocess.PIPE, text=True, env=env, timeout=120,
+        )
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_a_stdout_that_cannot_take_the_report_ends_in_74(tmp_path):
+    path = write_problem(tmp_path, SINGLE)
+    runs = [
+        (argv, unbuffered)
+        for argv in (["solve", "--input", path], ["lr", "[1]", "[1]", "[2]"], ["selftest"])
+        for unbuffered in (False, True)
+    ]
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        procs = list(pool.map(lambda run: full_stdout_run(*run), runs))
+    for run, proc in zip(runs, procs):
+        assert proc.returncode == 74, (run, proc.stderr)
+        assert proc.stderr.startswith("error: cannot write the report: "), run
+        assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr, run
+
+
+def test_a_stdout_closed_at_start_ends_in_74(tmp_path):
+    path = write_problem(tmp_path, SINGLE)
+    command = f"{shlex.quote(sys.executable)} -m schubcalc solve --input {shlex.quote(path)} >&-"
+    proc = subprocess.run(
+        ["sh", "-c", command], capture_output=True, text=True, env=buffered_env(), timeout=60
+    )
+    assert proc.returncode == 74, proc.stderr
+    assert proc.stderr.startswith("error: cannot write the report: ")
+
+
+SINGLE =problem(GR24, [{"index": [1], "count": 4}])
 SOLVE_PROVENANCE = (
     "expanded the condition product in the Schubert basis and read off the "
     "coefficient of the point class"

@@ -235,6 +235,23 @@ def test_dimension_mismatch_names_its_terms_by_kind():
         assert str(exc.value) == message
 
 
+def test_octonionic_keys_are_the_complete_flag_keys():
+    # on a complete flag every coset has one element, so reading a
+    # permutation as its coset leaves it as it is
+    def key_or_error(key, space, w):
+        try:
+            return key(space, w)
+        except Exception as exc:
+            return type(exc), str(exc)
+
+    fl111 = FlagDescriptor((1, 1, 1))
+    words = [w for m in range(1, 5) for w in itertools.product(range(1, 5), repeat=m)]
+    for w in words + [(), (0,), (5,), (1, 2, 3, 4, 5), (-1, 1), (1.5,), ("a",), 7]:
+        assert key_or_error(HalvingClass._key, OCT, w) == key_or_error(
+            FlagClass._key, fl111, w
+        ), w
+
+
 def test_octonionic_count_through_kappa():
     # transport an octonionic problem to the quaternionic three-step flag,
     # then count: complete flags in C^3 have a unique top class

@@ -232,7 +232,7 @@ def test_an_unsplit_count_leaves_out_the_first_copy_of_highest_degree(
     monkeypatch, space, conditions
 ):
     cls = ring(space)[0]
-    seen, tops, bounds = [], set(), set()
+    seen, withins, bounds = [], set(), set()
     pair = combination._pair
 
     def pair_spy(x, y):
@@ -241,9 +241,9 @@ def test_an_unsplit_count_leaves_out_the_first_copy_of_highest_degree(
 
     product = cls._product_within
 
-    def product_spy(self, other, top):
-        tops.add(top)
-        return product(self, other, top)
+    def product_spy(self, other, within):
+        withins.add(within)
+        return product(self, other, within)
 
     lr_product = grassmann._lr_product
 
@@ -257,16 +257,17 @@ def test_an_unsplit_count_leaves_out_the_first_copy_of_highest_degree(
     for order in permutations(conditions):
         expected = forward_count(space, order)
         seen.clear()
-        tops.clear()
+        withins.clear()
         bounds.clear()
         assert _multiply_conditions(space, order, True) == expected != 0
         top = max(order, key=lambda kc: cls._rank(kc[0]))[0]
         (rest, y), = seen
         assert y.terms == {top: 1}, order
         assert degrees(rest, y) == (space.complex_dimension - cls._rank(top), cls._rank(top))
-        assert tops == {top}, order
-        if cls is GrassmannClass:  # its products build only the shapes inside top's dual
-            assert bounds == {cls._dual_key(space, top)}, order
+        # every product takes top's dual as its bound
+        assert withins == {cls._dual_key(space, top)}, order
+        if cls is GrassmannClass:  # its products build only the shapes inside it
+            assert bounds == withins, order
 
 
 def record_twin(record):
