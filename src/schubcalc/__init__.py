@@ -14,6 +14,7 @@ from .errors import (
     MissingChernDegree,
     NotADouble,
     NotADoubleIndex,
+    ReportTooLarge,
     SchubertError,
     SpaceMismatch,
     SupportOutsideStaircase,
@@ -54,6 +55,7 @@ __all__ = [
     "MissingChernDegree",
     "NotADouble",
     "NotADoubleIndex",
+    "ReportTooLarge",
     "SchubertError",
     "SpaceMismatch",
     "SupportOutsideStaircase",

@@ -1,12 +1,12 @@
 """Command-line interface.
 
-Results are written to stdout and are byte-identical across runs; timing
-goes to stderr. Exit status 0 means success, 2 a malformed input, and 3 a
-well-formed problem that cannot be solved on the requested space. Exit
-status 141 means the reader of stdout went away before the report was
-written, also under `python -u`, and nothing more is printed; 74
-(EX_IOERR) means stdout cannot take the report, and stderr says why. A
-closed stderr does not change the exit code.
+Results are written to stdout, each report in order once all are
+rendered, and are byte-identical across runs; timing goes to stderr. Exit
+status 0 means success, 2 a malformed input, and 3 a well-formed problem
+that cannot be solved on the requested space. Exit status 141 means the
+reader of stdout went away, also under `python -u`; 74 (EX_IOERR) means
+stdout cannot take the reports, and stderr says why; either may follow the
+reports written before the fault. A closed stderr keeps the exit code.
 """
 
 import argparse
@@ -87,29 +87,31 @@ def _report_text(report):
 
 
 def _render(payload, fmt):
-    """The whole stdout text of a report, or of a batch (a list of reports)."""
-    if fmt == "json":
-        # the reader's depth limit is not the writer's: on 3.12+ json.loads
-        # has a C recursion guard of its own, while _put spends Python frames
-        try:
-            return _json_text(payload) + "\n"
-        except RecursionError:
-            raise ProblemSchemaError("the report is nested too deeply to write") from None
-    if isinstance(payload, dict):
-        return _report_text(payload)
-    return "\n".join(
-        f"problem {i}:\n" + _report_text(report) for i, report in enumerate(payload, start=1)
-    )
+    """The stdout of a report, or of a batch (a nonempty list of reports),
+    as one text per report, to be written in order."""
+    batch = isinstance(payload, list)
+    reports = payload if batch else [payload]
+    if fmt == "text":
+        return ["\n" * (i > 1) + f"problem {i}:\n" * batch + _report_text(r)
+                for i, r in enumerate(reports, start=1)]
+    nl = "\n  " if batch else "\n"  # a batch's reports sit one level in
+    # the writer may run out of depth where json.loads did not (3.12+ has a C guard)
+    try:
+        pieces = [_json_text(r, ("," if i else "[") + nl if batch else "", nl)
+                  for i, r in enumerate(reports)]
+    except RecursionError:
+        raise ProblemSchemaError("the report is nested too deeply to write") from None
+    pieces[-1] += "\n]\n" if batch else "\n"
+    return pieces
 
 
-def _json_text(value):
-    """The text of json.dumps(value, indent=2), for the dicts (with string
-    keys), lists, tuples, strings, numbers, booleans and None that a report
-    holds. json's indenting encoder is pure Python and nests generators;
-    this one appends one piece per member, so it is faster and needs one
-    frame per level of nesting."""
+def _json_text(value, head="", nl="\n"):
+    """head and the text of json.dumps(value, indent=2), its later lines
+    started by nl, for the dicts (with string keys), lists, tuples, strings,
+    numbers, booleans and None of a report. json's indenting encoder is
+    pure Python and nests generators; this one needs a frame per level."""
     out = []
-    _put(value, "", "\n", out)
+    _put(value, head, nl, out)
     return "".join(out)
 
 
@@ -183,9 +185,9 @@ def cmd_solve(args):
     for i, p in enumerate(parsed, start=1):
         try:
             value, provenance = halving.solve(p)
-        except (DimensionMismatch, NotADoubleIndex, ProblemSchemaError) as exc:
+            result = result_to_json(value) if isinstance(value, int) else class_to_json(value)
+        except (ProblemSchemaError, SchubertError) as exc:
             raise type(exc)(f"problem {i}: {exc}" if batch else str(exc)) from None
-        result = result_to_json(value) if isinstance(value, int) else class_to_json(value)
         reports.append(_report(p.raw, result, provenance))
     return reports if batch else reports[0]
 
@@ -272,7 +274,7 @@ def cmd_selftest(args):
     from .selftest import run_selftest
 
     out = io.StringIO()
-    return run_selftest(args.level, out), out.getvalue()
+    return run_selftest(args.level, out), [out.getvalue()]
 
 
 def build_parser():
@@ -336,32 +338,30 @@ def build_parser():
     return parser
 
 
-def _write(stream, text):
-    """Write every byte of text to stream, or raise OSError.
-
-    The text is encoded once and written to the binary layer in a loop: a
-    raw one (stdio under `python -u`) may take part of a write and return
-    its count, and the text layer would drop the rest. A write that takes
-    nothing is an error, not a retry. A stream with no binary layer (a
-    StringIO) takes the text whole. The descriptor of a stream that fails
-    is pointed at devnull, so that the flush at exit neither fails again
-    nor turns the exit code into 120.
-    """
+def _write(stream, pieces):
+    """Write every byte of the text pieces to stream, in order, or raise
+    OSError. Each piece is encoded and written to the binary layer in a
+    loop, since a raw one (stdio under `python -u`) may take part of a write
+    and the text layer would drop the rest; a write that takes nothing is an
+    error. A stream with no binary layer (a StringIO) takes the pieces whole.
+    A stream that fails has its descriptor pointed at devnull, so that the
+    flush at exit neither fails again nor turns the exit code into 120."""
     if stream is None:  # its descriptor was closed at start-up
         raise OSError("the stream is closed")
     binary = getattr(stream, "buffer", None)
     if binary is None:
-        stream.write(text)
+        stream.writelines(pieces)
         stream.flush()
         return
     try:
         stream.flush()
-        data = memoryview(text.encode(stream.encoding, stream.errors))
-        while data:
-            taken = binary.write(data)
-            if not taken:
-                raise OSError("the stream took no bytes")
-            data = data[taken:]
+        for piece in pieces:
+            data = memoryview(piece.encode(stream.encoding, stream.errors))
+            while data:
+                taken = binary.write(data)
+                if not taken:
+                    raise OSError("the stream took no bytes")
+                data = data[taken:]
         binary.flush()
     except OSError:
         devnull = os.open(os.devnull, os.O_WRONLY)
@@ -385,11 +385,11 @@ def main(argv=None):
     try:
         payload = args.fn(args)
         if isinstance(payload, tuple):  # selftest: its code and its lines
-            code, text = payload
+            code, pieces = payload
         else:
-            code, text = EXIT_OK, _render(payload, args.format)
+            code, pieces = EXIT_OK, _render(payload, args.format)
         try:
-            _write(sys.stdout, text)
+            _write(sys.stdout, pieces)
         except BrokenPipeError:  # the reader has gone; nothing more is printed
             return EXIT_PIPE
         except OSError as exc:
@@ -402,7 +402,7 @@ def main(argv=None):
         error, code = f"error: {type(exc).__name__}: {exc}\n", EXIT_UNSOLVABLE
     elapsed = (time.perf_counter() - start) * 1000.0
     try:
-        _write(sys.stderr, f"{error}elapsed_ms: {elapsed:.1f}\n")
+        _write(sys.stderr, [f"{error}elapsed_ms: {elapsed:.1f}\n"])
     except OSError:  # a dead stderr drops the line; the run keeps its code
         pass
     return code

@@ -33,5 +33,9 @@ class MissingChernDegree(SchubertError):
     """A degeneracy determinant needs a Chern degree that was not supplied."""
 
 
+class ReportTooLarge(SchubertError):
+    """A report would write more than the fixed limit of letters per term."""
+
+
 class SupportOutsideStaircase(SchubertError):
     """A polynomial has a monomial outside the staircase of the requested symmetric group."""

@@ -22,7 +22,7 @@ import re
 from fractions import Fraction
 
 from .combination import Record, decimal_text
-from .errors import BoxOverflow
+from .errors import BoxOverflow, ReportTooLarge
 from .flag import FlagDescriptor
 from .grassmann import GrassmannianDescriptor
 from .halving import (
@@ -43,6 +43,9 @@ from .indexing import (
 )
 
 INT63 = 2 ** 63
+# A flag class is written with all n letters in every term; past this n a
+# class report is refused before any key is padded.
+MAX_CLASS_LETTERS = 10 ** 5
 TERM_KEYS = ("partition", "permutation", "osp", "index")
 _COEFFICIENT = re.compile(r"-?[0-9]+(?:/[0-9]+)?")
 
@@ -188,6 +191,11 @@ def class_to_json(a):
     if key_name != "partition":
         # stored flag keys have no trailing fixed points; output has n letters
         ix = a.space.index_space
+        if ix.n > MAX_CLASS_LETTERS:
+            raise ReportTooLarge(
+                f"a class on {a.space} would be written with n = {decimal_text(ix.n)} "
+                f"letters per term; class reports stop at n = {MAX_CLASS_LETTERS}"
+            )
         pairs = [(perm_pad(w, ix.n), c) for w, c in pairs]
     if key_name == "osp":
         pairs = [(osp_from_perm(w, ix.dims), c) for w, c in pairs]

@@ -19,7 +19,7 @@ import schubcalc.schur
 from schubcalc.cli import main
 from schubcalc.errors import DegreeOutOfRange
 from schubcalc.selftest import run_selftest
-from schubcalc.serialize import ProblemSchemaError, parse_problem
+from schubcalc.serialize import MAX_CLASS_LETTERS, ProblemSchemaError, parse_problem
 
 GR24 = {"type": "complex_grassmannian", "k": 2, "n": 4}
 GR36 = {"type": "complex_grassmannian", "k": 3, "n": 6}
@@ -206,14 +206,15 @@ def test_json_nested_past_the_recursion_limit_exits_two(capsys, tmp_path):
     assert "error: lam is not valid JSON: nested too deeply" in err
 
 
-def deep_echo_run(depth, leaf, batch):
+def deep_echo_run(depth, leaf, size):
     """`python -m schubcalc solve` on a problem whose unknown key nests the
-    JSON text `leaf` in `depth` lists; the report nests the echo one level
-    (two in a batch) deeper than the file does."""
-    entry = problem(GR24, [{"index": [1], "count": 4}])
-    text = json.dumps(entry)[:-1] + ', "extra": ' + "[" * depth + leaf + "]" * depth + "}"
-    if batch:
-        text = f"[{text}]"
+    JSON text `leaf` in `depth` lists, alone (size 0) or last in a batch of
+    `size` problems; the report nests the echo one level deeper than the
+    file does."""
+    entry = json.dumps(problem(GR24, [{"index": [1], "count": 4}]))
+    text = entry[:-1] + ', "extra": ' + "[" * depth + leaf + "]" * depth + "}"
+    if size:
+        text = "[" + ", ".join([entry] * (size - 1) + [text]) + "]"
     return subprocess.run(
         [sys.executable, "-m", "schubcalc", "solve", "--input", "-"],
         input=text, capture_output=True, text=True, timeout=60,
@@ -224,29 +225,56 @@ def test_deep_echoes_end_in_exit_zero_or_two():
     # whatever nesting the reader takes, the run ends in exit 0 with the
     # bytes of json.dumps(indent=2), or in exit 2, never in a traceback.
     # Depth 980 is well inside every reader; at 986-987 the 3.11 reader
-    # still takes the file while json.dumps(indent=2) ran out of frames
+    # still takes the file while json.dumps(indent=2) ran out of frames.
+    # Depth 1200 is past every writer, so it exits 2 whichever refuses it:
+    # the reader (3.10-3.11), or the writer after the batch's first two
+    # reports are rendered and before any is written
     runs = [
-        (depth, leaf, batch)
+        (depth, leaf, size)
         for leaf in ("1.5", '{"a": 1.5}', "[1]")
-        for batch in (False, True)
+        for size in (0, 1, 3)
         for depth in (980, 986, 987)
-    ]
+    ] + [(1200, "1.5", 3)]
     with ThreadPoolExecutor(max_workers=2) as pool:
         procs = list(pool.map(lambda run: deep_echo_run(*run), runs))
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(10000)
     try:
         for run, proc in zip(runs, procs):
-            assert proc.returncode in (0, 2), (run, proc.stderr)
+            assert proc.returncode in ((2,) if run[0] == 1200 else (0, 2)), (run, proc.stderr)
             if proc.returncode == 2:
                 assert proc.stdout == "", run
                 assert "nested too deeply" in proc.stderr, run
                 continue
             report = json.loads(proc.stdout)
             assert proc.stdout == json.dumps(report, indent=2) + "\n", run
-            assert (report[0] if run[2] else report)["result"] == 2, run
+            assert (report[-1] if run[2] else report)["result"] == 2, run
     finally:
         sys.setrecursionlimit(limit)
+
+
+def test_a_batch_is_written_only_after_its_last_report_is_rendered(monkeypatch, capsys, tmp_path):
+    # the 3.12+ reader takes nesting that the writer cannot follow; a raised
+    # recursion limit while the file is read stands in for it on every version
+    depth = sys.getrecursionlimit() + 10
+    entry = json.dumps(problem(GR24, [{"index": [1], "count": 4}]))
+    deep = entry[:-1] + ', "extra": ' + "[" * depth + "1.5" + "]" * depth + "}"
+    path = tmp_path / "batch.json"
+    path.write_text(f"[{entry}, {entry}, {deep}]")
+    load = cli._load_json
+
+    def load_deeply(text, what):
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(limit + 2 * depth)
+        try:
+            return load(text, what)
+        finally:
+            sys.setrecursionlimit(limit)
+
+    monkeypatch.setattr(cli, "_load_json", load_deeply)
+    code, out, err = run_cli(capsys, ["solve", "--input", str(path)])
+    assert (code, out) == (2, ""), err
+    assert "error: the report is nested too deeply to write" in err
 
 
 def test_a_report_past_the_recursion_limit_exits_two(capsys):
@@ -524,6 +552,36 @@ def test_one_block_flag_of_huge_dimension_is_a_point(tmp_path):
     proc = run_capped(["solve", "--input", path])
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["result"] == 1
+
+
+def test_a_class_report_on_a_huge_flag_is_refused_before_padding(tmp_path):
+    # a flag class is written with all n letters in every term, so past
+    # MAX_CLASS_LETTERS the report is refused, naming n, before any padding
+    space = {"type": "complex_flag", "dims": [10**8]}
+    path = write_problem(tmp_path, problem(space, [{"index": [1]}]))
+    runs = [
+        ["solve", "--input", path, "--mode", "class"],
+        ["mult", "--space", json.dumps(space), "[1]", "[1]"],
+    ]
+    for argv in runs:
+        proc = run_capped(argv)
+        assert (proc.returncode, proc.stdout) == (3, ""), proc.stderr[-300:]
+        assert proc.stderr.startswith("error: ReportTooLarge: a class on Fl(100000000)")
+        assert "n = 100000000 letters per term" in proc.stderr
+
+
+def test_class_reports_stop_at_the_letter_limit(capsys, tmp_path):
+    for n, want in ((MAX_CLASS_LETTERS, 0), (MAX_CLASS_LETTERS + 1, 3)):
+        space = {"type": "complex_flag", "dims": [n]}
+        payload = problem(space, [{"index": [1]}], mode="class")
+        code, out, err = solve_json(capsys, tmp_path, [payload, payload])
+        assert code == want, err
+        if code:
+            assert out == ""
+            assert f"error: ReportTooLarge: problem 1: a class on Fl({n})" in err
+        else:
+            terms = json.loads(out)[1]["result"]["terms"]
+            assert terms == [{"permutation": list(range(1, n + 1)), "coeff": "1"}]
 
 
 @pytest.mark.parametrize(
